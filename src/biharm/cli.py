@@ -11,6 +11,7 @@ round-trips, so outputs are deterministic and diffable.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -58,7 +59,6 @@ class RunConfig:
     n_theta: int = 256
     r_max: float = 1.0 - 1e-6
     basepoint: tuple[float, float] = (0.0, 0.0)
-    truncation: int = 0
     output_dir: Path = Path("biharm_out")
     thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
 
@@ -84,7 +84,8 @@ class RunReport:
     def breaches(self) -> list[str]:
         out = []
         for name, limit in self.thresholds.items():
-            if getattr(self, f"{name}_residual") > limit:
+            # written so that a NaN residual counts as a breach
+            if not getattr(self, f"{name}_residual") <= limit:
                 out.append(name)
         return out
 
@@ -130,9 +131,12 @@ def _take_float(raw: dict, key: str, default=None) -> float:
         return default
     value = raw.pop(key)
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(key, f"not a number: {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(key, f"must be finite, got {value!r}")
+    return number
 
 
 def _take_int(raw: dict, key: str, default: int) -> int:
@@ -152,9 +156,12 @@ def _take_floats(raw: dict, key: str) -> tuple[float, ...]:
     if not value:
         return ()
     try:
-        return tuple(float(part) for part in value.split(","))
+        numbers = tuple(float(part) for part in value.split(","))
     except ValueError:
         raise ConfigError(key, f"not a comma-separated number list: {value!r}") from None
+    if not all(math.isfinite(number) for number in numbers):
+        raise ConfigError(key, f"every entry must be finite, got {value!r}")
+    return numbers
 
 
 def _take_boundary(raw: dict, prefix: str) -> BoundaryFunction:
@@ -174,8 +181,6 @@ def build_config(raw: dict[str, str]) -> RunConfig:
     r_max = _take_float(raw, "grid.r_max", 1.0 - 1e-6)
     bx = _take_float(raw, "basepoint.x", 0.0)
     by = _take_float(raw, "basepoint.y", 0.0)
-    data_degree = max(g1.degree, g2.degree, 1)
-    truncation = _take_int(raw, "truncation", data_degree)
     output_dir = Path(raw.pop("output_dir", "biharm_out"))
     thresholds = dict(DEFAULT_THRESHOLDS)
     for name in list(DEFAULT_THRESHOLDS):
@@ -193,10 +198,8 @@ def build_config(raw: dict[str, str]) -> RunConfig:
         raise ConfigError("grid.n_r", "grid must be at least 2 x 4")
     if np.hypot(bx, by) >= 1.0:
         raise ConfigError("basepoint.x", "basepoint must lie strictly inside the disk")
-    if truncation < data_degree:
-        raise ConfigError("truncation", f"must cover the boundary degree {data_degree}")
     return RunConfig(lam, mu, g1, g2, n_r, n_theta, r_max, (bx, by),
-                     truncation, output_dir, thresholds)
+                     output_dir, thresholds)
 
 
 def load_config(path: Path) -> RunConfig:
@@ -211,12 +214,18 @@ def load_config(path: Path) -> RunConfig:
 # solve subcommand
 
 
-def write_field_csv(path: Path, grid: PolarGrid, values: np.ndarray) -> None:
-    cols = [col.ravel().tolist() for col in grid.mesh] + [values.ravel().tolist()]
-    lines = ["r,theta,x,y,value"]
-    lines.extend(f"{r!r},{th!r},{x!r},{y!r},{v!r}"
-                 for r, th, x, y, v in zip(*cols))
-    path.write_text("\n".join(lines) + "\n")
+def csv_row_prefixes(grid: PolarGrid) -> list[str]:
+    """The "r,theta,x,y," start of every CSV row, shared by all fields."""
+    cols = [col.ravel().tolist() for col in grid.mesh]
+    return [f"{r!r},{th!r},{x!r},{y!r}," for r, th, x, y in zip(*cols)]
+
+
+def write_field_csv(path: Path, grid: PolarGrid, values: np.ndarray,
+                    prefixes: list[str]) -> None:
+    """One field on `grid` as r,theta,x,y,value rows; `prefixes` comes from
+    csv_row_prefixes(grid)."""
+    rows = map(str.__add__, prefixes, map(repr, values.ravel().tolist()))
+    path.write_text("r,theta,x,y,value\n" + "\n".join(rows) + "\n")
 
 
 def read_field_csv(path: Path):
@@ -235,6 +244,7 @@ def cmd_solve(config_path: str, out=sys.stdout) -> int:
 
     override = os.environ.get(ENV_OUTPUT_DIR)
     out_dir = Path(override) if override else config.output_dir
+    out_source = ENV_OUTPUT_DIR if override else "output_dir"
 
     try:
         state = solve_pipeline(config.g1, config.g2, config.lame(),
@@ -242,11 +252,6 @@ def cmd_solve(config_path: str, out=sys.stdout) -> int:
     except Exception as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return 3
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name in CSV_FIELDS:
-        write_field_csv(out_dir / f"{name}.csv", state.grid,
-                        state.field_grids()[name].values)
 
     report = RunReport(
         boundary_residual=state.residuals["boundary"],
@@ -258,7 +263,18 @@ def cmd_solve(config_path: str, out=sys.stdout) -> int:
         timings=state.timings,
         thresholds=config.thresholds,
     )
-    (out_dir / "report.txt").write_text(report.render())
+    grids = state.field_grids()
+    prefixes = csv_row_prefixes(state.grid)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name in CSV_FIELDS:
+            write_field_csv(out_dir / f"{name}.csv", state.grid,
+                            grids[name].values, prefixes)
+        (out_dir / "report.txt").write_text(report.render())
+    except OSError as exc:
+        print(f"error: {out_source} {str(out_dir)!r}: cannot write outputs: "
+              f"{exc}", file=sys.stderr)
+        return 2
     print(report.render(), end="", file=out)
     return 0 if not report.breaches() else 1
 

@@ -2,24 +2,37 @@
 boundary values of the two normal displacement gradients du/dx and dv/dy.
 
 Pipeline: map the boundary gradients to boundary data for the first and
-fourth components of a monogenic function, solve that boundary problem,
-and read every mechanical field off the solution:
+fourth components of a monogenic function Phi = (F, G), solve that
+boundary problem, and read every mechanical field off the solution in
+closed form:
 
     stress-potential second derivatives   W_xx = U1, W_yy = U1 - 2*U4,
     normal gradients    2*mu*V1 = (mu*U1 - (lam+2mu)*U4)/(lam+mu),
                         2*mu*V2 = (mu*U1 +       lam*U4)/(lam+mu),
-    mixed derivative    W_xy by line integral of dW_xy = W1_y dx + W2_x dy,
+    mixed derivative    W_xy = U3 - g0 = -Im G + y*Re F' - g0,
     shear gradients     2*mu*V3 = -W_xy - k0*Wc,  2*mu*V4 = -W_xy + k0*Wc,
     stresses            Hooke on (V1, V2) and tau_xy = -W_xy,
-    displacements       line integrals of V1 dx + V3 dy and V4 dx + V2 dy,
+    displacements       2*(lam+mu)*u = P1 - (lam+2mu)/mu*P4 + (lam+mu)/mu*g0*y,
+                        2*(lam+mu)*v = (lam+2mu)/mu*P2 + P3 + (lam+mu)/mu*g0*x,
+                        each less its value at the basepoint,
 
-with k0 = (lam+2mu)/(2(lam+mu)) and Wc the harmonic conjugate of the
-potential's Laplacian W0 = 2*Re F (gauged to vanish where Im F does).
+with k0 = (lam+2mu)/(2(lam+mu)), Wc the harmonic conjugate of the
+potential's Laplacian W0 = 2*Re F (gauged to vanish where Im F does), g0
+the raw W_xy at the basepoint, and P1..P4 the components of the
+antiderivative pair Psi = (int F, int G).  The algebra derivative is the
+x-partial, so d/dx Pk = Uk; the y-partials follow from the compatibility
+equations.
 
 Gauges: W_xy is fixed to vanish at the basepoint (this pins the uniform
 shear left free by the boundary data), displacements vanish at the
 basepoint, and the solver normalization Im F(0) = 0 pins the rigid
 rotation.  V1 and V2 are gauge-free and unique.
+
+Gauss-Legendre path quadrature (path_integral, mixed_derivative,
+displacements) computes W_xy and the displacements independently of the
+closed forms; the tests use it as the cross-check.  The pipeline keeps
+only the closed-loop integrals, which check that (V1, V3), (V4, V2) and
+(W1_y, W2_x) are exact differentials; u and v do not enter them.
 """
 
 from __future__ import annotations
@@ -200,9 +213,10 @@ class _SeriesFields:
     All formulas follow from the component expressions of the pair
     representation; the mixed derivative uses the antiderivative
     -Im G + y*Re F' of the exact differential W1_y dx + W2_x dy, gauged to
-    vanish at the basepoint.  The quadrature route in mixed_derivative()
-    computes the same quantity independently; the test suite pins their
-    agreement.
+    vanish at the basepoint, and the displacements use the components of
+    the antiderivative pair (int F, int G).  The quadrature routes in
+    mixed_derivative() and displacements() compute the same quantities
+    independently; the test suite pins their agreement.
     """
 
     def __init__(self, phi: MonogenicFunction, lame: LameConstants | None,
@@ -297,6 +311,33 @@ class _SeriesFields:
 
     def tau_xy(self, x, y):
         return -self.w11(x, y)
+
+    # displacements -------------------------------------------------------------
+    @cached_property
+    def _antiderivative(self) -> MonogenicFunction:
+        return MonogenicFunction(self.f.integrate(), self.g.integrate())
+
+    def _u_raw(self, x, y):
+        la, mu = self.lame.lam, self.lame.mu
+        p = self._antiderivative.components(x, y, check=False)
+        return (p[0] / (2 * (la + mu))
+                - (la + 2 * mu) * p[3] / (2 * mu * (la + mu))
+                + self._w11_gauge * np.asarray(y, dtype=float) / (2 * mu))
+
+    def _v_raw(self, x, y):
+        la, mu = self.lame.lam, self.lame.mu
+        p = self._antiderivative.components(x, y, check=False)
+        return ((la + 2 * mu) * p[1] / (2 * mu * (la + mu))
+                + p[2] / (2 * (la + mu))
+                + self._w11_gauge * np.asarray(x, dtype=float) / (2 * mu))
+
+    def u(self, x, y):
+        """x-displacement, closed form, vanishing at the basepoint."""
+        return self._u_raw(x, y) - self._u_raw(*self.basepoint)
+
+    def v(self, x, y):
+        """y-displacement, closed form, vanishing at the basepoint."""
+        return self._v_raw(x, y) - self._v_raw(*self.basepoint)
 
 
 class AiryDerivatives:
@@ -503,6 +544,9 @@ def solve_pipeline(g1: BoundaryFunction, g2: BoundaryFunction,
                    basepoint=(0.0, 0.0)) -> ElasticState:
     """Full reconstruction: boundary mapping, component solve, gradients,
     stresses, displacements, and the physical-consistency residual report.
+
+    Every field is evaluated in closed form from the series pair; no path
+    quadrature runs here.
     """
     grid = grid or PolarGrid()
     bp = (float(basepoint[0]), float(basepoint[1]))
@@ -515,8 +559,6 @@ def solve_pipeline(g1: BoundaryFunction, g2: BoundaryFunction,
 
     t0 = time.perf_counter()
     fields = _SeriesFields(phi, lame, bp)
-    hint = max(phi.degree + 1, 4)
-    w11_quad = mixed_derivative(phi, bp)
     _, _, x, y = grid.mesh
 
     comp = phi.components(x, y)
@@ -528,14 +570,12 @@ def solve_pipeline(g1: BoundaryFunction, g2: BoundaryFunction,
     v4g = sample(fields.v4(x, y))
     sxg = sample(fields.sigma_x(x, y))
     syg = sample(fields.sigma_y(x, y))
-    txyg = sample(-w11_quad(x, y))
+    txyg = sample(fields.tau_xy(x, y))
     timings["fields"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    u_fn, v_fn = displacements(fields.v1, fields.v2, fields.v3, fields.v4,
-                               bp, degree_hint=hint)
-    ug = sample(u_fn(x, y))
-    vg = sample(v_fn(x, y))
+    ug = sample(fields.u(x, y))
+    vg = sample(fields.v(x, y))
     timings["displacements"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -560,15 +600,19 @@ def solve_pipeline(g1: BoundaryFunction, g2: BoundaryFunction,
     def ddy(f):
         return (f(px, py + h_eq) - f(px, py - h_eq)) / (2 * h_eq)
 
-    tau_fn = lambda a, b: -w11_quad(a, b)
-    eq1 = ddx(fields.sigma_x) + ddy(tau_fn)
-    eq2 = ddx(tau_fn) + ddy(fields.sigma_y)
+    eq1 = ddx(fields.sigma_x) + ddy(fields.tau_xy)
+    eq2 = ddx(fields.tau_xy) + ddy(fields.sigma_y)
     residuals["equilibrium"] = float(max(np.max(np.abs(eq1)),
                                          np.max(np.abs(eq2))) / stress_scale)
 
     lame_pts = _residual_points(grid, r_cap=0.85, max_points=80)
-    residuals["lame"] = lame_residual(u_fn, v_fn, lame.gamma, lame_pts)
+    residuals["lame"] = lame_residual(fields.u, fields.v, lame.gamma, lame_pts)
 
+    # the loop integrals check that the written gradient fields are exact
+    # differentials (strain compatibility); u and v come from the
+    # antiderivative pair, not from these fields, so this does not test
+    # grad u = (V1, V3) or grad v = (V4, V2): the test suite pins that
+    hint = max(phi.degree + 1, 4)
     loops = []
     for radius in (0.35, 0.7):
         loops.append(abs(loop_integral(fields.w1_y, fields.w2_x, radius, hint)))

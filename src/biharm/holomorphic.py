@@ -58,6 +58,10 @@ class TaylorSeries:
             return TaylorSeries((0j,))
         return TaylorSeries(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
 
+    def integrate(self) -> "TaylorSeries":
+        """The antiderivative with constant term 0."""
+        return TaylorSeries((0j,) + tuple(c / (k + 1) for k, c in enumerate(self.coeffs)))
+
     def scaled(self, factor: complex) -> "TaylorSeries":
         return TaylorSeries(tuple(factor * c for c in self.coeffs))
 

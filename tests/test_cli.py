@@ -3,8 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from biharm.cli import (ConfigError, DEFAULT_THRESHOLDS, build_config,
-                        cmd_solve, cmd_verify, load_config, main,
+from biharm.cli import (ConfigError, DEFAULT_THRESHOLDS, RunReport,
+                        build_config, cmd_solve, cmd_verify, load_config, main,
                         parse_flat_config, read_field_csv)
 
 GOOD_CONFIG = """\
@@ -47,7 +47,6 @@ def test_parse_flat_config():
 def test_build_config_defaults():
     cfg = build_config({"lambda": "1.0", "mu": "2.0", "g1.cos": "0.5, 0.25"})
     assert cfg.n_r == 64 and cfg.n_theta == 256
-    assert cfg.truncation == 2
     assert cfg.g1.a == (0.5, 0.25)
     assert cfg.thresholds == DEFAULT_THRESHOLDS
 
@@ -57,9 +56,16 @@ def test_build_config_defaults():
     ({"lambda": "-5", "mu": "1"}, "lambda"),
     ({"grid.r_max": "1.5"}, "grid.r_max"),
     ({"basepoint.x": "2.0"}, "basepoint.x"),
-    ({"truncation": "0", "g1.cos": "0, 0, 1"}, "truncation"),
+    ({"truncation": "3", "g1.cos": "0, 0, 1"}, "truncation"),
     ({"nonsense": "1"}, "nonsense"),
     ({"mu": "abc"}, "mu"),
+    ({"g1.a0": "nan"}, "g1.a0"),
+    ({"g2.cos": "0.5, inf"}, "g2.cos"),
+    ({"g1.sin": "-inf"}, "g1.sin"),
+    ({"lambda": "inf"}, "lambda"),
+    ({"basepoint.y": "nan"}, "basepoint.y"),
+    ({"threshold.lame": "nan"}, "threshold.lame"),
+    ({"threshold.loop": "inf"}, "threshold.loop"),
 ])
 def test_build_config_validation_names_field(overrides, fieldname):
     raw = {"lambda": "1.0", "mu": "1.0"}
@@ -159,6 +165,40 @@ def test_cmd_solve_solver_error_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "solve_pipeline", boom)
     assert cmd_solve(str(path)) == 3
     assert "solver failed" in capsys.readouterr().err
+
+
+def test_cmd_solve_nan_input_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, ZERO_CONFIG + "g1.a0 = nan\n")
+    assert cmd_solve(str(path), out=io.StringIO()) == 2
+    assert "g1.a0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_nan_residual_is_a_breach():
+    report = RunReport(boundary_residual=float("nan"), equilibrium_residual=0.0,
+                       hooke_residual=0.0, lame_residual=0.0, loop_residual=0.0,
+                       kernel_note="", timings={},
+                       thresholds=dict(DEFAULT_THRESHOLDS))
+    assert report.breaches() == ["boundary"]
+    assert report.render().startswith("status = threshold_exceeded:boundary")
+
+
+@pytest.mark.parametrize("via_env", [False, True])
+def test_cmd_solve_unwritable_output_dir_exit_2(tmp_path, monkeypatch, capsys,
+                                                via_env):
+    blocker = tmp_path / "plain_file"
+    blocker.write_text("not a directory\n")
+    target = blocker / "out"
+    text = ZERO_CONFIG.replace("output_dir = {out}", f"output_dir = {target}")
+    if via_env:
+        monkeypatch.setenv("BIHARM_OUTPUT_DIR", str(target))
+        text = ZERO_CONFIG
+    path = write_config(tmp_path, text)
+    assert cmd_solve(str(path), out=io.StringIO()) == 2
+    err = capsys.readouterr().err
+    assert ("BIHARM_OUTPUT_DIR" if via_env else "output_dir") in err
+    assert str(target) in err
+    assert "Traceback" not in err
 
 
 def test_cmd_verify_passes():

@@ -142,6 +142,24 @@ def test_mixed_derivative_matches_antiderivative(rng):
     assert np.max(np.abs(w11(x, y) - fields.w11(x, y))) < 1e-11
 
 
+@pytest.mark.parametrize("degree", [1, 8, 32, 48])
+def test_closed_form_displacements_and_shear_match_quadrature(rng, degree):
+    # closed forms from the antiderivative pair against the independent
+    # Gauss-Legendre path integrals, same gauge at an off-centre basepoint
+    phi = random_b_polynomial(rng, degree)
+    lame = LameConstants(2.0, 1.5)
+    basepoint = (0.3, -0.2)
+    fields = _SeriesFields(phi, lame, basepoint)
+    u, v = displacements(fields.v1, fields.v2, fields.v3, fields.v4,
+                         basepoint, degree_hint=phi.degree + 1)
+    w11 = mixed_derivative(phi, basepoint)
+    x, y = grid_xy(rng, 60, radius=0.99)
+    assert np.max(np.abs(fields.u(x, y) - u(x, y))) < 1e-11
+    assert np.max(np.abs(fields.v(x, y) - v(x, y))) < 1e-11
+    assert np.max(np.abs(fields.tau_xy(x, y) + w11(x, y))) < 1e-11
+    assert fields.u(*basepoint) == 0.0 and fields.v(*basepoint) == 0.0
+
+
 def test_mixed_derivative_domain_checks():
     w11 = mixed_derivative(ZETA, (0.0, 0.0))
     with pytest.raises(DomainError):
@@ -355,6 +373,20 @@ def test_pipeline_kernel_insensitivity(rng):
     x, y = grid_xy(rng, 100)
     assert np.max(np.abs(v1a(x, y) - v1b(x, y))) < 1e-12
     assert np.max(np.abs(v2a(x, y) - v2b(x, y))) < 1e-12
+
+
+def test_pipeline_runs_without_path_quadrature(monkeypatch):
+    import biharm.elasticity as elasticity_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("path quadrature on the solve path")
+
+    monkeypatch.setattr(elasticity_mod, "path_integral", forbidden)
+    g1 = BoundaryFunction(0.2, (0.5, -0.1), (0.3,))
+    g2 = BoundaryFunction(-0.1, (0.2,), (0.4, 0.25))
+    state = solve_pipeline(g1, g2, LameConstants(2.0, 1.5), PolarGrid(16, 32),
+                           (0.3, -0.2))
+    assert all(np.isfinite(fg.values).all() for fg in state.field_grids().values())
 
 
 def test_pipeline_residual_report_keys():

@@ -42,6 +42,14 @@ def test_differentiate():
     assert coeffs_close(TaylorSeries((1, 1, 1, 1)).differentiate().coeffs, (1, 2, 3))
 
 
+def test_integrate():
+    assert coeffs_close(TaylorSeries((0, 2)).integrate().coeffs, (0, 0, 1))
+    assert coeffs_close(TaylorSeries((0j,)).integrate().coeffs, (0, 0))
+    assert coeffs_close(TaylorSeries((3, 1j, 3)).integrate().coeffs, (0, 3, 0.5j, 1))
+    f = TaylorSeries((0.5 - 1j, 2.0, -0.25j, 1.5))
+    assert coeffs_close(f.integrate().differentiate().coeffs, f.coeffs)
+
+
 def test_differentiate_commutes_with_evaluation(rng):
     f = TaylorSeries(tuple(rng.standard_normal(9) * 0.4 ** np.arange(9)
                            + 1j * rng.standard_normal(9) * 0.4 ** np.arange(9)))
