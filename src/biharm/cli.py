@@ -21,8 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .balgebra import BElement, E1, E2, RHO, invert, multiply, to_nilpotent
-from .elasticity import (LameConstants, PolarGrid, V2_U4_COEFFICIENT,
-                         gradients, lame_pairs, lame_residual, solve_pipeline)
+from .elasticity import (FIELD_NAMES, FieldEvaluator, LameConstants,
+                         PolarGrid, V2_U4_COEFFICIENT, lame_pairs,
+                         lame_residual, solve_pipeline)
 from .holomorphic import BoundaryFunction
 from .monogenic import biharmonic_residual, cr_residual, random_b_polynomial
 from .schwarz import Problem14, boundary_residual, kernel_basis, solve_14
@@ -36,9 +37,6 @@ DEFAULT_THRESHOLDS = {
     "lame": 1e-3,   # h = 1e-3 checker truncation grows with boundary degree
     "loop": 1e-10,
 }
-
-CSV_FIELDS = ("u1", "u2", "u3", "u4", "v1", "v2", "v3", "v4",
-              "sigma_x", "sigma_y", "tau_xy", "u", "v")
 
 
 class ConfigError(ValueError):
@@ -71,11 +69,7 @@ class RunConfig:
 
 @dataclass
 class RunReport:
-    boundary_residual: float
-    equilibrium_residual: float
-    hooke_residual: float
-    lame_residual: float
-    loop_residual: float
+    residuals: dict
     kernel_note: str
     timings: dict
     thresholds: dict
@@ -85,15 +79,15 @@ class RunReport:
         out = []
         for name, limit in self.thresholds.items():
             # written so that a NaN residual counts as a breach
-            if not getattr(self, f"{name}_residual") <= limit:
+            if not self.residuals[name] <= limit:
                 out.append(name)
         return out
 
     def render(self) -> str:
         lines = ["status = " + ("ok" if not self.breaches() else
                                 "threshold_exceeded:" + ",".join(self.breaches()))]
-        for name in ("boundary", "equilibrium", "hooke", "lame", "loop"):
-            lines.append(f"{name}_residual = {getattr(self, name + '_residual')!r}")
+        for name in DEFAULT_THRESHOLDS:
+            lines.append(f"{name}_residual = {self.residuals[name]!r}")
         for name, limit in sorted(self.thresholds.items()):
             lines.append(f"threshold.{name} = {limit!r}")
         lines.append(f"v2_u4_coefficient = {self.v2_u4_coefficient}")
@@ -253,21 +247,13 @@ def cmd_solve(config_path: str, out=sys.stdout) -> int:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return 3
 
-    report = RunReport(
-        boundary_residual=state.residuals["boundary"],
-        equilibrium_residual=state.residuals["equilibrium"],
-        hooke_residual=state.residuals["hooke"],
-        lame_residual=state.residuals["lame"],
-        loop_residual=state.residuals["loop"],
-        kernel_note=state.kernel_note,
-        timings=state.timings,
-        thresholds=config.thresholds,
-    )
+    report = RunReport(residuals=state.residuals, kernel_note=state.kernel_note,
+                       timings=state.timings, thresholds=config.thresholds)
     grids = state.field_grids()
     prefixes = csv_row_prefixes(state.grid)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name in CSV_FIELDS:
+        for name in FIELD_NAMES:
             write_field_csv(out_dir / f"{name}.csv", state.grid,
                             grids[name].values, prefixes)
         (out_dir / "report.txt").write_text(report.render())
@@ -413,15 +399,14 @@ def _check_kernel(rng, degree):
     problem = _trace_problem(phi0, max(phi0.degree, 1))
     sol = solve_14(problem)
     lame = LameConstants(1.0, 1.0)
-    v1a, v2a = gradients(sol, lame)
     worst = abs(boundary_residual(sol, problem))
     shifted = sol
     for coef, basis in zip((0.7, -1.3), kernel_basis()):
         shifted = shifted + basis.scaled(coef)
-    v1b, v2b = gradients(shifted, lame)
-    worst = max(worst,
-                float(np.max(np.abs(v1a(pts[:, 0], pts[:, 1]) - v1b(pts[:, 0], pts[:, 1])))),
-                float(np.max(np.abs(v2a(pts[:, 0], pts[:, 1]) - v2b(pts[:, 0], pts[:, 1])))))
+    a = FieldEvaluator(sol, lame)(pts[:, 0], pts[:, 1])
+    b = FieldEvaluator(shifted, lame)(pts[:, 0], pts[:, 1])
+    worst = max(worst, *(float(np.max(np.abs(a[name] - b[name])))
+                         for name in ("v1", "v2")))
     worst = max(worst, abs(boundary_residual(shifted, problem)))
     return worst < tol, worst, tol
 
@@ -465,6 +450,16 @@ def cmd_verify(seed: int, degree: int, inject_fault: str | None = None,
 # ---------------------------------------------------------------------------
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="biharm",
@@ -476,8 +471,8 @@ def main(argv=None) -> int:
     p_solve.add_argument("config", help="path to a flat key = value config file")
 
     p_verify = sub.add_parser("verify", help="run the pseudo-random invariant battery")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--degree", type=int, default=6)
+    p_verify.add_argument("--seed", type=_non_negative_int, default=0)
+    p_verify.add_argument("--degree", type=_non_negative_int, default=6)
     p_verify.add_argument("--inject-fault", default=None,
                           choices=("u1y", "u2y", "u3y", "u4y"),
                           help="flip the named compatibility equation inside "

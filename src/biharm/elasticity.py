@@ -28,11 +28,15 @@ shear left free by the boundary data), displacements vanish at the
 basepoint, and the solver normalization Im F(0) = 0 pins the rigid
 rotation.  V1 and V2 are gauge-free and unique.
 
-Gauss-Legendre path quadrature (path_integral, mixed_derivative,
-displacements) computes W_xy and the displacements independently of the
-closed forms; the tests use it as the cross-check.  The pipeline keeps
-only the closed-loop integrals, which check that (V1, V3), (V4, V2) and
-(W1_y, W2_x) are exact differentials; u and v do not enter them.
+FieldEvaluator is the one implementation of these formulas: a call at a
+point set evaluates F, F', F'', G, G', int F and int G once each and
+returns all thirteen fields (FIELD_NAMES) plus the integrands W1_y, W2_x
+of the exact differential dW_xy.  Gauss-Legendre path quadrature
+(path_integral, mixed_derivative, displacements) computes W_xy and the
+displacements independently of the closed forms; the tests use it as the
+cross-check.  The pipeline keeps only the closed-loop integrals, which
+check that (V1, V3), (V4, V2) and (W1_y, W2_x) are exact differentials;
+u and v do not enter them.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .holomorphic import BoundaryFunction, DomainError, EDGE_TOL
-from .monogenic import MonogenicFunction
+from .monogenic import MonogenicFunction, component_values
 from .schwarz import Problem14, boundary_residual, solve_14
 
 # Marker recorded in run reports: coefficient of U4 in the V2 formula.
@@ -204,160 +208,88 @@ def loop_integral(p_dx, p_dy, radius: float, degree_hint: int = 16) -> float:
 
 
 # ---------------------------------------------------------------------------
-# analytic field evaluators derived from the series pair
+# the field evaluator
 
 
-class _SeriesFields:
-    """Vectorized closed-form evaluators for every derived field.
+FIELD_NAMES = ("u1", "u2", "u3", "u4", "v1", "v2", "v3", "v4",
+               "sigma_x", "sigma_y", "tau_xy", "u", "v")
 
-    All formulas follow from the component expressions of the pair
-    representation; the mixed derivative uses the antiderivative
-    -Im G + y*Re F' of the exact differential W1_y dx + W2_x dy, gauged to
-    vanish at the basepoint, and the displacements use the components of
-    the antiderivative pair (int F, int G).  The quadrature routes in
-    mixed_derivative() and displacements() compute the same quantities
-    independently; the test suite pins their agreement.
+
+class FieldEvaluator:
+    """Every field at a point set from one evaluation of the series pair.
+
+    Built once from (phi, lame, basepoint): it differentiates and
+    integrates the series and fixes the basepoint gauges.  A call at
+    points (x, y) evaluates F, F', F'', G, G', int F and int G once each
+    and returns a dict of arrays keyed by FIELD_NAMES plus the potential
+    integrands "w1_y" = d(W_xx)/dy and "w2_x" = d(W_yy)/dx.  Without lame
+    constants it returns only the entries that do not depend on them
+    (u1..u4, tau_xy, w1_y, w2_x).
     """
 
-    def __init__(self, phi: MonogenicFunction, lame: LameConstants | None,
+    def __init__(self, phi: MonogenicFunction, lame: LameConstants | None = None,
                  basepoint=(0.0, 0.0)):
         self.phi = phi
         self.lame = lame
         self.basepoint = (float(basepoint[0]), float(basepoint[1]))
         if np.hypot(*self.basepoint) >= 1.0:
             raise DomainError("basepoint must lie strictly inside the disk")
-        self.f = phi.f
-        self.g = phi.g
-        self.df = phi.f.differentiate()
-        self.ddf = self.df.differentiate()
-        self.dg = phi.g.differentiate()
-        zb = complex(*self.basepoint)
-        self._w11_gauge = (-self.g.evaluate_unchecked(zb).imag
-                           + self.basepoint[1] * self.df.evaluate_unchecked(zb).real)
+        self._ddf = phi.df.differentiate()
+        self._dg = phi.g.differentiate()
+        self._int_f = phi.f.integrate()
+        self._int_g = phi.g.integrate()
+        xb, yb = (np.asarray(c) for c in self.basepoint)
+        zb = xb + 1j * yb
+        fb = phi.f.evaluate_unchecked(zb)
+        # g0: the raw W_xy = U3 at the basepoint
+        self._gauge = component_values(fb, phi.g.evaluate_unchecked(zb),
+                                       phi.df.evaluate_unchecked(zb), yb)[2]
+        if lame is not None:
+            self._uv0 = self._raw_displacements(xb, yb, fb, zb)
 
-    # component fields -----------------------------------------------------
-    def components(self, x, y):
-        return self.phi.components(x, y, check=False)
-
-    def u1(self, x, y):
-        return self.components(x, y)[0]
-
-    def u4(self, x, y):
-        return self.components(x, y)[3]
-
-    # potential second derivatives ------------------------------------------
-    def w1(self, x, y):
-        return self.u1(x, y)
-
-    def w2(self, x, y):
-        c = self.components(x, y)
-        return c[0] - 2.0 * c[3]
-
-    def w0(self, x, y):
-        z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
-        return 2.0 * self.f.evaluate_unchecked(z).real
-
-    def w0_conjugate(self, x, y):
-        z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
-        return 2.0 * self.f.evaluate_unchecked(z).imag
-
-    def w1_y(self, x, y):
-        """d(W_xx)/dy, analytic."""
-        z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
-        return (-self.dg.evaluate_unchecked(z).imag
-                + np.asarray(y, dtype=float) * self.ddf.evaluate_unchecked(z).real)
-
-    def w2_x(self, x, y):
-        """d(W_yy)/dx, analytic."""
-        z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
-        return (self.df.evaluate_unchecked(z).real
-                - self.dg.evaluate_unchecked(z).real
-                - np.asarray(y, dtype=float) * self.ddf.evaluate_unchecked(z).imag)
-
-    def w11(self, x, y):
-        """Mixed second derivative, closed form with basepoint gauge."""
-        z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
-        raw = (-self.g.evaluate_unchecked(z).imag
-               + np.asarray(y, dtype=float) * self.df.evaluate_unchecked(z).real)
-        return raw - self._w11_gauge
-
-    # displacement gradients --------------------------------------------------
-    def v1(self, x, y):
+    def _raw_displacements(self, x, y, fv, z):
+        """u and v before the basepoint shift, from the components P1..P4
+        of (int F, int G), whose F' is F itself."""
         la, mu = self.lame.lam, self.lame.mu
-        c = self.components(x, y)
-        return (mu * c[0] - (la + 2 * mu) * c[3]) / (2 * mu * (la + mu))
+        p = component_values(self._int_f.evaluate_unchecked(z),
+                             self._int_g.evaluate_unchecked(z), fv, y)
+        u = (p[0] / (2 * (la + mu)) - (la + 2 * mu) * p[3] / (2 * mu * (la + mu))
+             + self._gauge * y / (2 * mu))
+        v = ((la + 2 * mu) * p[1] / (2 * mu * (la + mu)) + p[2] / (2 * (la + mu))
+             + self._gauge * x / (2 * mu))
+        return u, v
 
-    def v2(self, x, y):
-        la, mu = self.lame.lam, self.lame.mu
-        c = self.components(x, y)
-        return (mu * c[0] + la * c[3]) / (2 * mu * (la + mu))
+    def __call__(self, x, y) -> dict[str, np.ndarray]:
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        z = x + 1j * y
+        fv = self.phi.f.evaluate_unchecked(z)
+        dfv = self.phi.df.evaluate_unchecked(z)
+        ddfv = self._ddf.evaluate_unchecked(z)
+        dgv = self._dg.evaluate_unchecked(z)
+        u1, u2, u3, u4 = component_values(fv, self.phi.g.evaluate_unchecked(z), dfv, y)
+        w_xy = u3 - self._gauge
+        out = {"u1": u1, "u2": u2, "u3": u3, "u4": u4, "tau_xy": -w_xy,
+               "w1_y": -dgv.imag + y * ddfv.real,
+               "w2_x": dfv.real - dgv.real - y * ddfv.imag}
+        if self.lame is None:
+            return out
+        la, mu, k0 = self.lame.lam, self.lame.mu, self.lame.kappa0
+        v1 = (mu * u1 - (la + 2 * mu) * u4) / (2 * mu * (la + mu))
+        v2 = (mu * u1 + la * u4) / (2 * mu * (la + mu))
+        w0_conjugate = 2.0 * fv.imag
+        u, v = self._raw_displacements(x, y, fv, z)
+        out.update(v1=v1, v2=v2,
+                   v3=(-w_xy - k0 * w0_conjugate) / (2 * mu),
+                   v4=(-w_xy + k0 * w0_conjugate) / (2 * mu),
+                   sigma_x=(la + 2 * mu) * v1 + la * v2,
+                   sigma_y=la * v1 + (la + 2 * mu) * v2,
+                   u=u - self._uv0[0], v=v - self._uv0[1])
+        return out
 
-    def v3(self, x, y):
-        mu, k0 = self.lame.mu, self.lame.kappa0
-        return (-self.w11(x, y) - k0 * self.w0_conjugate(x, y)) / (2 * mu)
-
-    def v4(self, x, y):
-        mu, k0 = self.lame.mu, self.lame.kappa0
-        return (-self.w11(x, y) + k0 * self.w0_conjugate(x, y)) / (2 * mu)
-
-    # stresses ----------------------------------------------------------------
-    def sigma_x(self, x, y):
-        la, mu = self.lame.lam, self.lame.mu
-        return (la + 2 * mu) * self.v1(x, y) + la * self.v2(x, y)
-
-    def sigma_y(self, x, y):
-        la, mu = self.lame.lam, self.lame.mu
-        return la * self.v1(x, y) + (la + 2 * mu) * self.v2(x, y)
-
-    def tau_xy(self, x, y):
-        return -self.w11(x, y)
-
-    # displacements -------------------------------------------------------------
-    @cached_property
-    def _antiderivative(self) -> MonogenicFunction:
-        return MonogenicFunction(self.f.integrate(), self.g.integrate())
-
-    def _u_raw(self, x, y):
-        la, mu = self.lame.lam, self.lame.mu
-        p = self._antiderivative.components(x, y, check=False)
-        return (p[0] / (2 * (la + mu))
-                - (la + 2 * mu) * p[3] / (2 * mu * (la + mu))
-                + self._w11_gauge * np.asarray(y, dtype=float) / (2 * mu))
-
-    def _v_raw(self, x, y):
-        la, mu = self.lame.lam, self.lame.mu
-        p = self._antiderivative.components(x, y, check=False)
-        return ((la + 2 * mu) * p[1] / (2 * mu * (la + mu))
-                + p[2] / (2 * (la + mu))
-                + self._w11_gauge * np.asarray(x, dtype=float) / (2 * mu))
-
-    def u(self, x, y):
-        """x-displacement, closed form, vanishing at the basepoint."""
-        return self._u_raw(x, y) - self._u_raw(*self.basepoint)
-
-    def v(self, x, y):
-        """y-displacement, closed form, vanishing at the basepoint."""
-        return self._v_raw(x, y) - self._v_raw(*self.basepoint)
-
-
-class AiryDerivatives:
-    """Second derivatives of the stress potential generated by a monogenic
-    function: W_xx, W_yy, their sum W0, its harmonic conjugate, and the
-    mixed derivative W_xy recovered by line integration from the basepoint.
-    """
-
-    def __init__(self, phi: MonogenicFunction, basepoint=(0.0, 0.0)):
-        self._fields = _SeriesFields(phi, None, basepoint)
-        self.phi = phi
-        self.basepoint = self._fields.basepoint
-        self._w11_quad = mixed_derivative(phi, basepoint)
-        self.w1 = self._fields.w1
-        self.w2 = self._fields.w2
-        self.w0 = self._fields.w0
-        self.w0_conjugate = self._fields.w0_conjugate
-
-    def w11(self, x, y):
-        return self._w11_quad(x, y)
+    def field(self, name: str):
+        """One entry as a vectorized callable (x, y) -> array."""
+        return lambda x, y: self(x, y)[name]
 
 
 # ---------------------------------------------------------------------------
@@ -384,54 +316,18 @@ def airy_boundary(g1: BoundaryFunction, g2: BoundaryFunction,
     return w_xx, w_yy
 
 
-def airy_second_derivatives(phi: MonogenicFunction,
-                            basepoint=(0.0, 0.0)) -> AiryDerivatives:
-    return AiryDerivatives(phi, basepoint)
-
-
 def mixed_derivative(phi: MonogenicFunction, basepoint=(0.0, 0.0)):
     """W_xy as a vectorized field, by Gauss-Legendre line integration of
     the exact differential W1_y dx + W2_x dy along radial-then-angular
     paths; zero at the basepoint."""
-    fields = _SeriesFields(phi, None, basepoint)
+    fields = FieldEvaluator(phi, None, basepoint)
     hint = max(phi.degree + 1, 4)
 
     def w11(x, y):
-        return path_integral(fields.w1_y, fields.w2_x, fields.basepoint,
-                             x, y, degree_hint=hint)
+        return path_integral(fields.field("w1_y"), fields.field("w2_x"),
+                             fields.basepoint, x, y, degree_hint=hint)
 
     return w11
-
-
-def gradients(phi: MonogenicFunction, lame: LameConstants):
-    """The unique normal displacement gradients (V1, V2) as fields."""
-    fields = _SeriesFields(phi, lame)
-    return fields.v1, fields.v2
-
-
-def shear_gradients(airy: AiryDerivatives, lame: LameConstants):
-    """Cross gradients (V3, V4) = (du/dy, dv/dx) from the potential fields."""
-    mu, k0 = lame.mu, lame.kappa0
-
-    def v3(x, y):
-        return (-airy.w11(x, y) - k0 * airy.w0_conjugate(x, y)) / (2 * mu)
-
-    def v4(x, y):
-        return (-airy.w11(x, y) + k0 * airy.w0_conjugate(x, y)) / (2 * mu)
-
-    return v3, v4
-
-
-def stresses(phi: MonogenicFunction, lame: LameConstants, basepoint=(0.0, 0.0)):
-    """Stress fields (sigma_x, sigma_y, tau_xy); the shear comes from the
-    line-integrated mixed derivative."""
-    fields = _SeriesFields(phi, lame, basepoint)
-    w11 = mixed_derivative(phi, basepoint)
-
-    def tau(x, y):
-        return -w11(x, y)
-
-    return fields.sigma_x, fields.sigma_y, tau
 
 
 def displacements(v1, v2, v3, v4, basepoint=(0.0, 0.0), degree_hint: int = 16):
@@ -452,23 +348,19 @@ def lame_pairs(phi: MonogenicFunction, lame: LameConstants):
     solving the displacement equilibrium system with gamma = (lam+mu)/mu."""
     gam = lame.gamma
 
-    def comp(k):
-        def field_fn(x, y, _k=k):
-            return phi.components(x, y, check=False)[_k]
-        return field_fn
+    def of_components(combine):
+        # one evaluation of the components per call
+        return lambda x, y: combine(*phi.components(x, y, check=False))
 
-    u1f, u2f, u3f, u4f = (comp(k) for k in range(4))
-
-    def pair1_u(x, y):
-        return (2 / gam) * u1f(x, y) - ((2 + gam) / gam) * u4f(x, y)
-
-    def pair2_u(x, y):
-        return -((2 + gam) / gam) * u2f(x, y) - (2 * (1 + gam) / gam) * u3f(x, y)
-
-    def pair3_u(x, y):
-        return -(2 / gam) * u2f(x, y) - ((2 + gam) / gam) * u3f(x, y)
-
-    return [(pair1_u, u2f), (pair2_u, u4f), (pair3_u, u1f)]
+    return [
+        (of_components(lambda u1, u2, u3, u4: (2 / gam) * u1 - ((2 + gam) / gam) * u4),
+         of_components(lambda u1, u2, u3, u4: u2)),
+        (of_components(lambda u1, u2, u3, u4:
+                       -((2 + gam) / gam) * u2 - (2 * (1 + gam) / gam) * u3),
+         of_components(lambda u1, u2, u3, u4: u4)),
+        (of_components(lambda u1, u2, u3, u4: -(2 / gam) * u2 - ((2 + gam) / gam) * u3),
+         of_components(lambda u1, u2, u3, u4: u1)),
+    ]
 
 
 def lame_residual(u, v, gamma: float, points, h: float = 1e-3) -> float:
@@ -479,18 +371,20 @@ def lame_residual(u, v, gamma: float, points, h: float = 1e-3) -> float:
     if np.any(np.hypot(x, y) > 1.0 - 2.0 * h):
         raise DomainError("stencil points must stay 2h inside the boundary")
 
-    def second_xx(f):
-        return (f(x + h, y) - 2.0 * f(x, y) + f(x - h, y)) / h ** 2
+    # the nine stencil copies of the points, stacked so that u and v are
+    # each called once
+    offsets = np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
+                        (1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float)
+    sx, sy = x + h * offsets[:, :1], y + h * offsets[:, 1:]
 
-    def second_yy(f):
-        return (f(x, y + h) - 2.0 * f(x, y) + f(x, y - h)) / h ** 2
+    def second_derivatives(f):
+        s = f(sx, sy)
+        return ((s[1] - 2.0 * s[0] + s[2]) / h ** 2,
+                (s[3] - 2.0 * s[0] + s[4]) / h ** 2,
+                (s[5] - s[6] - s[7] + s[8]) / (4.0 * h ** 2))
 
-    def cross(f):
-        return (f(x + h, y + h) - f(x + h, y - h)
-                - f(x - h, y + h) + f(x - h, y - h)) / (4.0 * h ** 2)
-
-    u_xx, u_yy, u_xy = second_xx(u), second_yy(u), cross(u)
-    v_xx, v_yy, v_xy = second_xx(v), second_yy(v), cross(v)
+    u_xx, u_yy, u_xy = second_derivatives(u)
+    v_xx, v_yy, v_xy = second_derivatives(v)
     eq1 = u_xx + u_yy + gamma * (u_xx + v_xy)
     eq2 = v_xx + v_yy + gamma * (u_xy + v_yy)
     return float(max(np.max(np.abs(eq1)), np.max(np.abs(eq2))))
@@ -526,15 +420,18 @@ class ElasticState:
     kernel_note: str = ""
 
     def field_grids(self) -> dict[str, FieldGrid]:
-        names = ("u1", "u2", "u3", "u4", "v1", "v2", "v3", "v4",
-                 "sigma_x", "sigma_y", "tau_xy", "u", "v")
-        return {name: getattr(self, name) for name in names}
+        return {name: getattr(self, name) for name in FIELD_NAMES}
 
 
 def _residual_points(grid: PolarGrid, r_cap: float, max_points: int = 240):
     r, th, x, y = grid.mesh
     mask = (r > 0.05) & (r <= r_cap)
     xs, ys = x[mask], y[mask]
+    if not len(xs):
+        # no grid radius in (0.05, r_cap]: use the circle of radius
+        # min(r_max, r_cap) at the grid's angles instead
+        radius = min(grid.r_max, r_cap)
+        xs, ys = radius * np.cos(grid.thetas), radius * np.sin(grid.thetas)
     stride = max(1, len(xs) // max_points)
     return np.column_stack([xs[::stride], ys[::stride]])
 
@@ -542,11 +439,13 @@ def _residual_points(grid: PolarGrid, r_cap: float, max_points: int = 240):
 def solve_pipeline(g1: BoundaryFunction, g2: BoundaryFunction,
                    lame: LameConstants, grid: PolarGrid | None = None,
                    basepoint=(0.0, 0.0)) -> ElasticState:
-    """Full reconstruction: boundary mapping, component solve, gradients,
-    stresses, displacements, and the physical-consistency residual report.
+    """Full reconstruction: boundary mapping, component solve, one
+    evaluation of every field on the grid, and the physical-consistency
+    residual report.
 
     Every field is evaluated in closed form from the series pair; no path
-    quadrature runs here.
+    quadrature runs here.  u and v come out of the same grid pass as the
+    other fields, so the "displacements" stage has no time of its own.
     """
     grid = grid or PolarGrid()
     bp = (float(basepoint[0]), float(basepoint[1]))
@@ -558,66 +457,52 @@ def solve_pipeline(g1: BoundaryFunction, g2: BoundaryFunction,
     timings["solve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    fields = _SeriesFields(phi, lame, bp)
+    fields = FieldEvaluator(phi, lame, bp)
     _, _, x, y = grid.mesh
-
-    comp = phi.components(x, y)
-    sample = lambda arr: FieldGrid(grid, arr)
-    u1g, u2g, u3g, u4g = (sample(c) for c in comp)
-    v1g = sample(fields.v1(x, y))
-    v2g = sample(fields.v2(x, y))
-    v3g = sample(fields.v3(x, y))
-    v4g = sample(fields.v4(x, y))
-    sxg = sample(fields.sigma_x(x, y))
-    syg = sample(fields.sigma_y(x, y))
-    txyg = sample(fields.tau_xy(x, y))
+    values = fields(x, y)
+    grids = {name: FieldGrid(grid, values[name]) for name in FIELD_NAMES}
     timings["fields"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    ug = sample(fields.u(x, y))
-    vg = sample(fields.v(x, y))
-    timings["displacements"] = time.perf_counter() - t0
+    timings["displacements"] = 0.0
 
     t0 = time.perf_counter()
     residuals = {}
     residuals["boundary"] = boundary_residual(phi, problem)
 
-    # interior closure checks
-    stress_scale = max(1.0, sxg.max_abs(), syg.max_abs(), txyg.max_abs())
-    hooke_shear = np.max(np.abs(txyg.values
-                                - lame.mu * (v3g.values + v4g.values)))
-    airy_sx = np.max(np.abs(sxg.values - fields.w2(x, y)))
-    airy_sy = np.max(np.abs(syg.values - fields.w1(x, y)))
+    # interior closure checks: Hooke's law for the shear, and the stresses
+    # against the potential's W_yy = U1 - 2*U4 and W_xx = U1
+    stress_scale = max(1.0, *(grids[name].max_abs()
+                              for name in ("sigma_x", "sigma_y", "tau_xy")))
+    hooke_shear = np.max(np.abs(values["tau_xy"]
+                                - lame.mu * (values["v3"] + values["v4"])))
+    airy_sx = np.max(np.abs(values["sigma_x"] - (values["u1"] - 2.0 * values["u4"])))
+    airy_sy = np.max(np.abs(values["sigma_y"] - values["u1"]))
     residuals["hooke"] = float(max(hooke_shear, airy_sx, airy_sy))
 
+    # central differences of the stresses: one evaluation at the four
+    # shifted copies of the points
     pts = _residual_points(grid, r_cap=0.9)
     h_eq = 1e-5
     px, py = pts[:, 0], pts[:, 1]
-
-    def ddx(f):
-        return (f(px + h_eq, py) - f(px - h_eq, py)) / (2 * h_eq)
-
-    def ddy(f):
-        return (f(px, py + h_eq) - f(px, py - h_eq)) / (2 * h_eq)
-
-    eq1 = ddx(fields.sigma_x) + ddy(fields.tau_xy)
-    eq2 = ddx(fields.tau_xy) + ddy(fields.sigma_y)
+    shifted = fields(np.stack([px + h_eq, px - h_eq, px, px]),
+                     np.stack([py, py, py + h_eq, py - h_eq]))
+    sx, sy, txy = shifted["sigma_x"], shifted["sigma_y"], shifted["tau_xy"]
+    eq1 = (sx[0] - sx[1]) / (2 * h_eq) + (txy[2] - txy[3]) / (2 * h_eq)
+    eq2 = (txy[0] - txy[1]) / (2 * h_eq) + (sy[2] - sy[3]) / (2 * h_eq)
     residuals["equilibrium"] = float(max(np.max(np.abs(eq1)),
                                          np.max(np.abs(eq2))) / stress_scale)
 
     lame_pts = _residual_points(grid, r_cap=0.85, max_points=80)
-    residuals["lame"] = lame_residual(fields.u, fields.v, lame.gamma, lame_pts)
+    residuals["lame"] = lame_residual(fields.field("u"), fields.field("v"),
+                                      lame.gamma, lame_pts)
 
     # the loop integrals check that the written gradient fields are exact
     # differentials (strain compatibility); u and v come from the
     # antiderivative pair, not from these fields, so this does not test
     # grad u = (V1, V3) or grad v = (V4, V2): the test suite pins that
     hint = max(phi.degree + 1, 4)
-    loops = []
-    for radius in (0.35, 0.7):
-        loops.append(abs(loop_integral(fields.w1_y, fields.w2_x, radius, hint)))
-        loops.append(abs(loop_integral(fields.v1, fields.v3, radius, hint)))
-        loops.append(abs(loop_integral(fields.v4, fields.v2, radius, hint)))
+    loops = [abs(loop_integral(fields.field(p_dx), fields.field(p_dy), radius, hint))
+             for radius in (0.35, 0.7)
+             for p_dx, p_dy in (("w1_y", "w2_x"), ("v1", "v3"), ("v4", "v2"))]
     residuals["loop"] = float(max(loops))
     timings["residuals"] = time.perf_counter() - t0
 
@@ -626,9 +511,5 @@ def solve_pipeline(g1: BoundaryFunction, g2: BoundaryFunction,
             "Im G(0) = 0 was applied and does not affect V1, V2, stresses, "
             "or displacements up to the fixed gauges")
 
-    return ElasticState(grid=grid, basepoint=bp, lame=lame, phi=phi,
-                        u1=u1g, u2=u2g, u3=u3g, u4=u4g,
-                        v1=v1g, v2=v2g, v3=v3g, v4=v4g,
-                        sigma_x=sxg, sigma_y=syg, tau_xy=txyg,
-                        u=ug, v=vg, residuals=residuals, timings=timings,
-                        kernel_note=note)
+    return ElasticState(grid=grid, basepoint=bp, lame=lame, phi=phi, **grids,
+                        residuals=residuals, timings=timings, kernel_note=note)

@@ -18,11 +18,12 @@ representation, not a consequence of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .balgebra import BElement, from_nilpotent, to_nilpotent, NilpotentForm
+from .balgebra import BElement, to_nilpotent
 from .holomorphic import DomainError, EDGE_TOL, TaylorSeries
 
 FD_STEP_FIRST = 1e-5   # central first differences
@@ -43,6 +44,15 @@ _STENCIL_WEIGHTS = np.array([20.0,
 _CR_EQUATIONS = ("u1y", "u2y", "u3y", "u4y")
 
 
+def component_values(fv, gv, dfv, y):
+    """Components (U1, U2, U3, U4) from values of F, G and F' at points
+    with ordinate y; the one place the pair-form formula is written."""
+    shear = 1j * y * dfv
+    c_plus_d = fv + gv - shear
+    d = gv - shear
+    return c_plus_d.real, c_plus_d.imag, -d.imag, d.real
+
+
 @dataclass(frozen=True)
 class MonogenicFunction:
     """Pair (F, G) encoding Phi = F(z) + rho*(G(z) - i*y*F'(z))."""
@@ -54,14 +64,14 @@ class MonogenicFunction:
     def degree(self) -> int:
         return max(self.f.degree, self.g.degree)
 
+    @cached_property
+    def df(self) -> TaylorSeries:
+        """F', differentiated once per function."""
+        return self.f.differentiate()
+
     def evaluate(self, x: float, y: float) -> BElement:
         """Value at a single point of the closed unit disk."""
-        if np.hypot(x, y) > 1.0 + EDGE_TOL:
-            raise DomainError("point outside the closed unit disk")
-        z = complex(x, y)
-        c = self.f.evaluate_unchecked(z)
-        d = self.g.evaluate_unchecked(z) - 1j * y * self.f.differentiate().evaluate_unchecked(z)
-        return from_nilpotent(NilpotentForm(complex(c), complex(d)))
+        return BElement(*(float(v) for v in self.components(x, y)))
 
     def components(self, x, y, check: bool = True):
         """Vectorized component fields (U1, U2, U3, U4) at array points."""
@@ -70,16 +80,12 @@ class MonogenicFunction:
         if check and np.any(np.hypot(x, y) > 1.0 + EDGE_TOL):
             raise DomainError("point outside the closed unit disk")
         z = x + 1j * y
-        fv = self.f.evaluate_unchecked(z)
-        gv = self.g.evaluate_unchecked(z)
-        dfv = self.f.differentiate().evaluate_unchecked(z)
-        c_plus_d = fv + gv - 1j * y * dfv
-        d = gv - 1j * y * dfv
-        return c_plus_d.real, c_plus_d.imag, -d.imag, d.real
+        return component_values(self.f.evaluate_unchecked(z), self.g.evaluate_unchecked(z),
+                                self.df.evaluate_unchecked(z), y)
 
     def derivative(self) -> "MonogenicFunction":
         """The algebra derivative, which equals the x-partial componentwise."""
-        return MonogenicFunction(self.f.differentiate(), self.g.differentiate())
+        return MonogenicFunction(self.df, self.g.differentiate())
 
     def recentered(self, x0: float, y0: float) -> "MonogenicFunction":
         """Same function in coordinates local to (x0, y0).
@@ -89,7 +95,7 @@ class MonogenicFunction:
         """
         z0 = complex(x0, y0)
         f_loc = self.f.shifted(z0)
-        g_loc = self.g.shifted(z0) + self.f.differentiate().shifted(z0).scaled(-1j * y0)
+        g_loc = self.g.shifted(z0) + self.df.shifted(z0).scaled(-1j * y0)
         return MonogenicFunction(f_loc, g_loc)
 
     def __add__(self, other: "MonogenicFunction") -> "MonogenicFunction":
@@ -163,12 +169,9 @@ def _component_remainders(local: MonogenicFunction, dx, dy):
     inject through the h**-4 scaling.
     """
     w = dx + 1j * dy
-    f4 = local.f.truncated_below(4).evaluate_unchecked(w)
-    g4 = local.g.truncated_below(4).evaluate_unchecked(w)
-    df3 = local.f.differentiate().truncated_below(3).evaluate_unchecked(w)
-    c_plus_d = f4 + g4 - 1j * dy * df3
-    d = g4 - 1j * dy * df3
-    return c_plus_d.real, c_plus_d.imag, -d.imag, d.real
+    return component_values(local.f.truncated_below(4).evaluate_unchecked(w),
+                            local.g.truncated_below(4).evaluate_unchecked(w),
+                            local.df.truncated_below(3).evaluate_unchecked(w), dy)
 
 
 def biharmonic_residual(phi: MonogenicFunction, points, h: float = FD_STEP_FOURTH) -> float:

@@ -11,9 +11,8 @@ import pytest
 
 from biharm.balgebra import (E1, E2, RHO, ZERO, BElement, invert, multiply,
                              to_nilpotent)
-from biharm.elasticity import (LameConstants, PolarGrid, _SeriesFields,
-                               gradients, lame_pairs, lame_residual,
-                               loop_integral, solve_pipeline)
+from biharm.elasticity import (LameConstants, PolarGrid, lame_pairs,
+                               lame_residual, solve_pipeline)
 from biharm.holomorphic import BoundaryFunction
 from biharm.monogenic import (biharmonic_residual, cr_residual,
                               random_b_polynomial)

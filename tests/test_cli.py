@@ -1,11 +1,17 @@
+import contextlib
 import io
+import os
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from biharm.cli import (ConfigError, DEFAULT_THRESHOLDS, RunReport,
-                        build_config, cmd_solve, cmd_verify, load_config, main,
-                        parse_flat_config, read_field_csv)
+from biharm.cli import (ConfigError, DEFAULT_THRESHOLDS, ENV_OUTPUT_DIR,
+                        RunReport, build_config, cmd_solve, cmd_verify,
+                        load_config, main, parse_flat_config, read_field_csv)
 
 GOOD_CONFIG = """\
 # worked closed-form case
@@ -175,9 +181,9 @@ def test_cmd_solve_nan_input_exit_2(tmp_path, capsys):
 
 
 def test_nan_residual_is_a_breach():
-    report = RunReport(boundary_residual=float("nan"), equilibrium_residual=0.0,
-                       hooke_residual=0.0, lame_residual=0.0, loop_residual=0.0,
-                       kernel_note="", timings={},
+    residuals = dict.fromkeys(DEFAULT_THRESHOLDS, 0.0)
+    residuals["boundary"] = float("nan")
+    report = RunReport(residuals=residuals, kernel_note="", timings={},
                        thresholds=dict(DEFAULT_THRESHOLDS))
     assert report.breaches() == ["boundary"]
     assert report.render().startswith("status = threshold_exceeded:boundary")
@@ -231,3 +237,94 @@ def test_main_entrypoint(tmp_path, capsys):
     assert main(["verify", "--seed", "3", "--degree", "2"]) == 0
     with pytest.raises(SystemExit):
         main(["verify", "--inject-fault", "bogus"])
+
+
+@pytest.mark.parametrize("edit", [("grid.n_r = 12", "grid.n_r = 2"),
+                                  ("grid.n_theta = 24",
+                                   "grid.n_theta = 24\ngrid.r_max = 0.04")])
+def test_cmd_solve_grids_without_interior_radii_exit_0(tmp_path, edit):
+    # no grid radius in (0.05, 0.9]: the residual checks still get points
+    path = write_config(tmp_path, GOOD_CONFIG.replace(*edit))
+    buf = io.StringIO()
+    assert cmd_solve(str(path), out=buf) == 0
+    assert buf.getvalue().startswith("status = ok")
+
+
+@pytest.mark.parametrize("flag", ["--degree", "--seed"])
+def test_verify_rejects_negative_values(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", flag, "-1"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+# values build_config accepts, including the grid and r_max edges
+COEFFICIENTS = st.lists(st.floats(-2.0, 2.0), max_size=8).map(
+    lambda values: ", ".join(map(repr, values)))
+VALID_VALUES = {
+    "lambda": st.sampled_from(["1.0", "0", "2", "0.5", "1e3"]),
+    "mu": st.sampled_from(["1.0", "1.5", "0.3", "1e-3"]),
+    "g1.a0": st.floats(-2.0, 2.0).map(repr),
+    "g1.cos": COEFFICIENTS,
+    "g1.sin": COEFFICIENTS,
+    "g2.a0": st.floats(-2.0, 2.0).map(repr),
+    "g2.cos": COEFFICIENTS,
+    "g2.sin": COEFFICIENTS,
+    "grid.n_r": st.sampled_from(["8", "2", "3", "16"]),
+    "grid.n_theta": st.sampled_from(["16", "4", "5", "32"]),
+    "grid.r_max": st.sampled_from(["1", "0.999999", "0.5", "0.05", "0.04", "1e-9"]),
+    "basepoint.x": st.sampled_from(["0", "0.3", "-0.6"]),
+    "basepoint.y": st.sampled_from(["0", "-0.2", "0.5"]),
+    "threshold.lame": st.sampled_from(["1e-3", "1", "1e-30"]),
+}
+# always set, so that no example falls back to the default 64 x 256 grid
+REQUIRED = ("lambda", "mu", "grid.n_r", "grid.n_theta")
+HOSTILE_VALUES = ["nan", "inf", "-inf", "NaN", "1e400", "abc", "", ",", "1,,2",
+                  "0x10", "-1", "0", "1.5", "2.5", "1e-320", "nan, 1"]
+UNKNOWN_KEYS = ["truncation", "nonsense", "grid.nr", "g3.cos", "threshold.bogus"]
+
+
+@st.composite
+def flat_configs(draw):
+    """(config text, whether every entry came from VALID_VALUES)."""
+    lines = [f"{key} = {draw(values)}" for key, values in VALID_VALUES.items()
+             if key in REQUIRED or draw(st.booleans())]
+    valid = not draw(st.booleans())
+    if not valid:
+        for _ in range(draw(st.integers(1, 3))):
+            action = draw(st.sampled_from(["value", "unknown", "duplicate",
+                                           "drop", "garbage"]))
+            index = draw(st.integers(0, len(lines) - 1))
+            if action == "unknown":
+                lines.append(f"{draw(st.sampled_from(UNKNOWN_KEYS))} = 1")
+            elif action == "garbage":
+                lines.append("no key value pair here")
+            elif action == "value":
+                key = lines[index].split(" = ")[0]
+                lines[index] = f"{key} = {draw(st.sampled_from(HOSTILE_VALUES))}"
+            elif action == "duplicate":
+                lines.append(lines[index])
+            else:  # drop lambda or mu
+                del lines[index % 2]
+    return "\n".join(lines) + "\n", valid
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on extreme moduli
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(flat_configs())
+def test_cmd_solve_exit_code_contract(case):
+    # every config ends in one of the documented exit codes, with no
+    # traceback; a config drawn only from accepted values must solve
+    # (exit 0, or 1 when a residual breaches its threshold)
+    text, valid = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "run.cfg"
+        config.write_text(text)
+        err = io.StringIO()
+        with mock.patch.dict(os.environ, {ENV_OUTPUT_DIR: str(Path(tmp) / "out")}), \
+                contextlib.redirect_stderr(err):
+            code = cmd_solve(str(config), out=io.StringIO())
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if valid:
+        assert code in (0, 1), err.getvalue()

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from biharm.elasticity import (AiryDerivatives, LameConstants, PolarGrid,
-                               _SeriesFields, airy_boundary,
-                               airy_second_derivatives, boundary_map,
-                               displacements, gradients, lame_pairs,
+from biharm.elasticity import (FIELD_NAMES, FieldEvaluator, LameConstants,
+                               PolarGrid, _residual_points, airy_boundary,
+                               boundary_map, displacements, lame_pairs,
                                lame_residual, loop_integral, mixed_derivative,
-                               shear_gradients, solve_pipeline, stresses)
+                               solve_pipeline)
 from biharm.holomorphic import (BoundaryFunction, DomainError, TaylorSeries,
                                 harmonic_conjugate_trace)
 from biharm.monogenic import MonogenicFunction, random_b_polynomial
@@ -22,6 +21,15 @@ ZERO_PHI = MonogenicFunction.zero()
 def grid_xy(rng, count=60, radius=0.75):
     pts = disk_points(rng, count, radius)
     return pts[:, 0], pts[:, 1]
+
+
+def potential(values, lame):
+    """W_xx, W_yy, their sum W0 and its harmonic conjugate, read off the
+    evaluator's stresses (sigma_x = W_yy, sigma_y = W_xx) and shear
+    gradients (V4 - V3 = kappa0 * conj(W0) / mu)."""
+    w_xx, w_yy = values["sigma_y"], values["sigma_x"]
+    conj = lame.mu * (values["v4"] - values["v3"]) / lame.kappa0
+    return w_xx, w_yy, w_xx + w_yy, conj
 
 
 def test_lame_constants():
@@ -66,39 +74,57 @@ def test_airy_boundary_examples(rng):
 
 
 def test_airy_second_derivatives_identity_function(rng):
-    a = airy_second_derivatives(ZETA, (0.0, 0.0))
     x, y = grid_xy(rng)
-    assert np.max(np.abs(a.w1(x, y) - x)) < 1e-14
-    assert np.max(np.abs(a.w2(x, y) - x)) < 1e-14
-    assert np.max(np.abs(a.w0(x, y) - 2 * x)) < 1e-14
-    assert np.max(np.abs(a.w0_conjugate(x, y) - 2 * y)) < 1e-14
+    w_xx, w_yy, w0, conj = potential(FieldEvaluator(ZETA, L11)(x, y), L11)
+    assert np.max(np.abs(w_xx - x)) < 1e-14
+    assert np.max(np.abs(w_yy - x)) < 1e-14
+    assert np.max(np.abs(w0 - 2 * x)) < 1e-14
+    assert np.max(np.abs(conj - 2 * y)) < 1e-14
 
 
 def test_airy_second_derivatives_square(rng):
-    a = airy_second_derivatives(ZETA2, (0.0, 0.0))
     x, y = grid_xy(rng)
-    assert np.max(np.abs(a.w1(x, y) - (x ** 2 + y ** 2))) < 1e-14
-    assert np.max(np.abs(a.w2(x, y) - (x ** 2 - 3 * y ** 2))) < 1e-14
+    w_xx, w_yy, _, _ = potential(FieldEvaluator(ZETA2, L11)(x, y), L11)
+    assert np.max(np.abs(w_xx - (x ** 2 + y ** 2))) < 1e-14
+    assert np.max(np.abs(w_yy - (x ** 2 - 3 * y ** 2))) < 1e-14
 
 
 def test_airy_second_derivatives_zero(rng):
-    a = airy_second_derivatives(ZERO_PHI, (0.0, 0.0))
     x, y = grid_xy(rng)
-    for f in (a.w1, a.w2, a.w0, a.w0_conjugate, a.w11):
-        assert np.max(np.abs(f(x, y))) < 1e-15
+    values = FieldEvaluator(ZERO_PHI, L11)(x, y)
+    assert set(values) == set(FIELD_NAMES) | {"w1_y", "w2_x"}
+    for name, arr in values.items():
+        assert np.max(np.abs(arr)) < 1e-15, name
+
+
+def test_evaluator_without_lame_constants(rng):
+    # the lame-free entries need no moduli and do not depend on them
+    phi = random_b_polynomial(rng, 6)
+    x, y = grid_xy(rng)
+    free = FieldEvaluator(phi, None, (0.2, -0.1))(x, y)
+    assert set(free) == {"u1", "u2", "u3", "u4", "tau_xy", "w1_y", "w2_x"}
+    full = FieldEvaluator(phi, LameConstants(2.0, 1.5), (0.2, -0.1))(x, y)
+    for name, arr in free.items():
+        assert np.array_equal(arr, full[name]), name
+    with pytest.raises(DomainError):
+        FieldEvaluator(phi, None, (0.8, 0.8))
 
 
 def test_airy_type_invariants(rng):
     phi = random_b_polynomial(rng, 7)
-    a = airy_second_derivatives(phi, (0.1, -0.2))
+    lame = LameConstants(2.0, 1.5)
+    fields = FieldEvaluator(phi, lame, (0.1, -0.2))
     x, y = grid_xy(rng)
-    assert np.max(np.abs(a.w0(x, y) - a.w1(x, y) - a.w2(x, y))) < 1e-12
+    _, _, w0, _ = potential(fields(x, y), lame)
+    assert np.max(np.abs(w0 - 2 * phi.f.evaluate(x + 1j * y).real)) < 1e-12
     # conjugate pair satisfies the first-order harmonic-pair relations
     h = 1e-5
-    wx = (a.w0(x + h, y) - a.w0(x - h, y)) / (2 * h)
-    wy = (a.w0(x, y + h) - a.w0(x, y - h)) / (2 * h)
-    cx = (a.w0_conjugate(x + h, y) - a.w0_conjugate(x - h, y)) / (2 * h)
-    cy = (a.w0_conjugate(x, y + h) - a.w0_conjugate(x, y - h)) / (2 * h)
+    w0_at = lambda a, b: potential(fields(a, b), lame)[2]
+    conj_at = lambda a, b: potential(fields(a, b), lame)[3]
+    wx = (w0_at(x + h, y) - w0_at(x - h, y)) / (2 * h)
+    wy = (w0_at(x, y + h) - w0_at(x, y - h)) / (2 * h)
+    cx = (conj_at(x + h, y) - conj_at(x - h, y)) / (2 * h)
+    cy = (conj_at(x, y + h) - conj_at(x, y - h)) / (2 * h)
     assert np.max(np.abs(wx - cy)) < 1e-7
     assert np.max(np.abs(wy + cx)) < 1e-7
     # the interior conjugate agrees on the boundary with the trace-side
@@ -106,9 +132,9 @@ def test_airy_type_invariants(rng):
     m = 4 * phi.degree + 9
     th = 2 * np.pi * np.arange(m) / m
     bx, by = np.cos(th), np.sin(th)
-    w0_trace = BoundaryFunction.from_samples(a.w0(bx, by), phi.degree + 1)
+    w0_trace = BoundaryFunction.from_samples(w0_at(bx, by), phi.degree + 1)
     conj = harmonic_conjugate_trace(w0_trace).sample(th)
-    direct = a.w0_conjugate(bx, by)
+    direct = conj_at(bx, by)
     assert np.max(np.abs((direct - direct.mean()) - conj)) < 1e-10
 
 
@@ -126,8 +152,8 @@ def test_mixed_derivative_zero(rng):
 
 def test_mixed_derivative_closed_loop(rng):
     phi = random_b_polynomial(rng, 8)
-    fields = _SeriesFields(phi, None, (0.0, 0.0))
-    assert abs(loop_integral(fields.w1_y, fields.w2_x, 0.5,
+    fields = FieldEvaluator(phi)
+    assert abs(loop_integral(fields.field("w1_y"), fields.field("w2_x"), 0.5,
                              degree_hint=phi.degree + 1)) < 1e-10
 
 
@@ -137,9 +163,9 @@ def test_mixed_derivative_matches_antiderivative(rng):
     phi = random_b_polynomial(rng, 8)
     basepoint = (0.2, -0.1)
     w11 = mixed_derivative(phi, basepoint)
-    fields = _SeriesFields(phi, None, basepoint)
+    fields = FieldEvaluator(phi, None, basepoint)
     x, y = grid_xy(rng, 40)
-    assert np.max(np.abs(w11(x, y) - fields.w11(x, y))) < 1e-11
+    assert np.max(np.abs(w11(x, y) + fields(x, y)["tau_xy"])) < 1e-11
 
 
 @pytest.mark.parametrize("degree", [1, 8, 32, 48])
@@ -149,15 +175,17 @@ def test_closed_form_displacements_and_shear_match_quadrature(rng, degree):
     phi = random_b_polynomial(rng, degree)
     lame = LameConstants(2.0, 1.5)
     basepoint = (0.3, -0.2)
-    fields = _SeriesFields(phi, lame, basepoint)
-    u, v = displacements(fields.v1, fields.v2, fields.v3, fields.v4,
+    fields = FieldEvaluator(phi, lame, basepoint)
+    u, v = displacements(*(fields.field(name) for name in ("v1", "v2", "v3", "v4")),
                          basepoint, degree_hint=phi.degree + 1)
     w11 = mixed_derivative(phi, basepoint)
     x, y = grid_xy(rng, 60, radius=0.99)
-    assert np.max(np.abs(fields.u(x, y) - u(x, y))) < 1e-11
-    assert np.max(np.abs(fields.v(x, y) - v(x, y))) < 1e-11
-    assert np.max(np.abs(fields.tau_xy(x, y) + w11(x, y))) < 1e-11
-    assert fields.u(*basepoint) == 0.0 and fields.v(*basepoint) == 0.0
+    values = fields(x, y)
+    assert np.max(np.abs(values["u"] - u(x, y))) < 1e-11
+    assert np.max(np.abs(values["v"] - v(x, y))) < 1e-11
+    assert np.max(np.abs(values["tau_xy"] + w11(x, y))) < 1e-11
+    at_basepoint = fields(*basepoint)
+    assert at_basepoint["u"] == 0.0 and at_basepoint["v"] == 0.0
 
 
 def test_mixed_derivative_domain_checks():
@@ -169,16 +197,16 @@ def test_mixed_derivative_domain_checks():
 
 
 def test_gradients_identity_function(rng):
-    v1, v2 = gradients(ZETA, L11)
     x, y = grid_xy(rng)
-    assert np.max(np.abs(v1(x, y) - x / 4)) < 1e-14
-    assert np.max(np.abs(v2(x, y) - x / 4)) < 1e-14
+    values = FieldEvaluator(ZETA, L11)(x, y)
+    assert np.max(np.abs(values["v1"] - x / 4)) < 1e-14
+    assert np.max(np.abs(values["v2"] - x / 4)) < 1e-14
 
 
 def test_gradients_zero(rng):
-    v1, v2 = gradients(ZERO_PHI, L11)
     x, y = grid_xy(rng)
-    assert np.max(np.abs(v1(x, y))) == 0 and np.max(np.abs(v2(x, y))) == 0
+    values = FieldEvaluator(ZERO_PHI, L11)(x, y)
+    assert np.max(np.abs(values["v1"])) == 0 and np.max(np.abs(values["v2"])) == 0
 
 
 def test_gradients_constant_rho_against_hooke_inversion(rng):
@@ -193,30 +221,31 @@ def test_gradients_constant_rho_against_hooke_inversion(rng):
     v2_expect = (-la * sx + (la + 2 * mu) * sy) / det
     assert v1_expect == pytest.approx(-0.5)
     assert v2_expect == pytest.approx(0.5)
-    v1, v2 = gradients(rho_phi, L11)
     x, y = grid_xy(rng, 20)
-    assert np.max(np.abs(v1(x, y) - v1_expect)) < 1e-14
-    assert np.max(np.abs(v2(x, y) - v2_expect)) < 1e-14
+    values = FieldEvaluator(rho_phi, L11)(x, y)
+    assert np.max(np.abs(values["v1"] - v1_expect)) < 1e-14
+    assert np.max(np.abs(values["v2"] - v2_expect)) < 1e-14
 
 
 def test_stresses_identity_function(rng):
-    sx, sy, txy = stresses(ZETA, L11)
     x, y = grid_xy(rng)
-    assert np.max(np.abs(sx(x, y) - x)) < 1e-13
-    assert np.max(np.abs(sy(x, y) - x)) < 1e-13
-    assert np.max(np.abs(txy(x, y) + y)) < 1e-12
+    values = FieldEvaluator(ZETA, L11)(x, y)
+    assert np.max(np.abs(values["sigma_x"] - x)) < 1e-13
+    assert np.max(np.abs(values["sigma_y"] - x)) < 1e-13
+    assert np.max(np.abs(values["tau_xy"] + y)) < 1e-12
 
 
 def test_stresses_zero(rng):
-    sx, sy, txy = stresses(ZERO_PHI, L11)
     x, y = grid_xy(rng, 20)
-    for f in (sx, sy, txy):
-        assert np.max(np.abs(f(x, y))) < 1e-15
+    values = FieldEvaluator(ZERO_PHI, L11)(x, y)
+    for name in ("sigma_x", "sigma_y", "tau_xy"):
+        assert np.max(np.abs(values[name])) < 1e-15
 
 
 def test_equilibrium_by_hand_for_identity_function(rng):
     # sigma_x = x, tau_xy = -y: divergence terms cancel exactly
-    sx, sy, txy = stresses(ZETA, L11)
+    fields = FieldEvaluator(ZETA, L11)
+    sx, sy, txy = (fields.field(name) for name in ("sigma_x", "sigma_y", "tau_xy"))
     h = 1e-5
     x, y = grid_xy(rng, 20, radius=0.6)
     div1 = (sx(x + h, y) - sx(x - h, y)) / (2 * h) \
@@ -228,39 +257,36 @@ def test_equilibrium_by_hand_for_identity_function(rng):
 
 
 def test_shear_gradients_identity_function(rng):
-    a = airy_second_derivatives(ZETA, (0.0, 0.0))
-    v3, v4 = shear_gradients(a, L11)
     x, y = grid_xy(rng)
-    assert np.max(np.abs(v3(x, y) + 5 * y / 4)) < 1e-12
-    assert np.max(np.abs(v4(x, y) - y / 4)) < 1e-12
+    values = FieldEvaluator(ZETA, L11)(x, y)
+    assert np.max(np.abs(values["v3"] + 5 * y / 4)) < 1e-12
+    assert np.max(np.abs(values["v4"] - y / 4)) < 1e-12
 
 
 def test_shear_gradients_zero(rng):
-    a = airy_second_derivatives(ZERO_PHI, (0.0, 0.0))
-    v3, v4 = shear_gradients(a, L11)
     x, y = grid_xy(rng, 10)
-    assert np.max(np.abs(v3(x, y))) < 1e-15
-    assert np.max(np.abs(v4(x, y))) < 1e-15
+    values = FieldEvaluator(ZERO_PHI, L11)(x, y)
+    assert np.max(np.abs(values["v3"])) < 1e-15
+    assert np.max(np.abs(values["v4"])) < 1e-15
 
 
 def test_hooke_shear_closure(rng):
     phi = random_b_polynomial(rng, 6)
     lame = LameConstants(2.0, 1.0)
-    a = airy_second_derivatives(phi, (0.0, 0.0))
-    v3, v4 = shear_gradients(a, lame)
-    _, _, txy = stresses(phi, lame)
     x, y = grid_xy(rng, 200)
-    assert np.max(np.abs(txy(x, y) - lame.mu * (v3(x, y) + v4(x, y)))) < 1e-9
+    values = FieldEvaluator(phi, lame)(x, y)
+    assert np.max(np.abs(values["tau_xy"]
+                         - lame.mu * (values["v3"] + values["v4"]))) < 1e-9
 
 
 def test_displacements_worked_case(rng):
-    v1, v2 = gradients(ZETA, L11)
-    a = airy_second_derivatives(ZETA, (0.0, 0.0))
-    v3, v4 = shear_gradients(a, L11)
-    u, v = displacements(v1, v2, v3, v4)
+    fields = FieldEvaluator(ZETA, L11)
+    u, v = displacements(*(fields.field(name) for name in ("v1", "v2", "v3", "v4")))
     x, y = grid_xy(rng)
-    assert np.max(np.abs(u(x, y) - (x ** 2 / 8 - 5 * y ** 2 / 8))) < 1e-12
-    assert np.max(np.abs(v(x, y) - x * y / 4)) < 1e-12
+    values = fields(x, y)
+    for u_xy, v_xy in ((u(x, y), v(x, y)), (values["u"], values["v"])):
+        assert np.max(np.abs(u_xy - (x ** 2 / 8 - 5 * y ** 2 / 8))) < 1e-12
+        assert np.max(np.abs(v_xy - x * y / 4)) < 1e-12
     assert u(0.0, 0.0) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -274,11 +300,12 @@ def test_displacements_zero(rng):
 def test_displacement_closed_loops(rng):
     phi = random_b_polynomial(rng, 7)
     lame = LameConstants(1.0, 3.0)
-    fields = _SeriesFields(phi, lame, (0.0, 0.0))
+    fields = FieldEvaluator(phi, lame, (0.0, 0.0))
+    v1, v2, v3, v4 = (fields.field(name) for name in ("v1", "v2", "v3", "v4"))
     hint = phi.degree + 1
     for radius in (0.3, 0.8):
-        assert abs(loop_integral(fields.v1, fields.v3, radius, hint)) < 1e-10
-        assert abs(loop_integral(fields.v4, fields.v2, radius, hint)) < 1e-10
+        assert abs(loop_integral(v1, v3, radius, hint)) < 1e-10
+        assert abs(loop_integral(v4, v2, radius, hint)) < 1e-10
 
 
 def test_lame_pairs_examples(rng):
@@ -368,11 +395,11 @@ def test_pipeline_kernel_insensitivity(rng):
     shifted = state.phi
     for coef, k in zip((0.9, -0.4), kernel_basis()):
         shifted = shifted + k.scaled(coef)
-    v1a, v2a = gradients(state.phi, lame)
-    v1b, v2b = gradients(shifted, lame)
     x, y = grid_xy(rng, 100)
-    assert np.max(np.abs(v1a(x, y) - v1b(x, y))) < 1e-12
-    assert np.max(np.abs(v2a(x, y) - v2b(x, y))) < 1e-12
+    a = FieldEvaluator(state.phi, lame)(x, y)
+    b = FieldEvaluator(shifted, lame)(x, y)
+    assert np.max(np.abs(a["v1"] - b["v1"])) < 1e-12
+    assert np.max(np.abs(a["v2"] - b["v2"])) < 1e-12
 
 
 def test_pipeline_runs_without_path_quadrature(monkeypatch):
@@ -398,3 +425,37 @@ def test_pipeline_residual_report_keys():
     assert state.kernel_note
     assert set(state.timings) == {"solve", "fields", "displacements",
                                   "residuals"}
+
+
+def test_pipeline_evaluates_each_series_once_on_the_grid(monkeypatch, rng):
+    # degree 48 on a 48 x 128 grid: the grid is one point set, so each of
+    # F, F', F'', G, G', int F and int G is evaluated on it exactly once
+    grid = PolarGrid(48, 128)
+    shapes = []
+    evaluate = TaylorSeries.evaluate_unchecked
+
+    def counted(series, z):
+        shapes.append(np.shape(z))
+        return evaluate(series, z)
+
+    monkeypatch.setattr(TaylorSeries, "evaluate_unchecked", counted)
+    damp = 0.9 ** np.arange(1, 49)
+    g1, g2 = (BoundaryFunction(0.1, tuple(rng.standard_normal(48) * damp),
+                               tuple(rng.standard_normal(48) * damp))
+              for _ in range(2))
+    state = solve_pipeline(g1, g2, LameConstants(2.0, 1.5), grid, (0.3, -0.2))
+    assert state.phi.degree >= 48
+    grid_calls = shapes.count((grid.n_r, grid.n_theta))
+    assert 0 < grid_calls <= 7
+
+
+@pytest.mark.parametrize("grid", [PolarGrid(2, 4), PolarGrid(64, 256, 0.04)])
+def test_residual_points_on_grids_without_interior_radii(grid):
+    # no grid radius lies in (0.05, r_cap]; the residuals still get points
+    for r_cap, max_points in ((0.9, 240), (0.85, 80)):
+        pts = _residual_points(grid, r_cap, max_points)
+        assert len(pts) > 0
+        assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= r_cap)
+    g = BoundaryFunction(0, (0.25,), ())
+    state = solve_pipeline(g, g, L11, grid)
+    assert all(np.isfinite(v) for v in state.residuals.values())

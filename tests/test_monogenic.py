@@ -177,3 +177,10 @@ def test_recentered_agrees_with_global(rng):
         a = phi.evaluate(x0 + dx, y0 + dy)
         b = local.evaluate(dx, dy)
         assert (a - b).norm() < 1e-12
+
+
+def test_df_is_computed_once(rng):
+    phi = random_b_polynomial(rng, 5)
+    assert phi.df is phi.df
+    assert phi.df == phi.f.differentiate()
+    assert phi.derivative().f is phi.df
