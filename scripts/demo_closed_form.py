@@ -36,7 +36,7 @@ def main():
     }
     print(f"{'field':10s} {'max |error|':>14s}")
     for name, target in exact.items():
-        err = np.max(np.abs(state.field_grids()[name].values - target))
+        err = np.max(np.abs(state.fields[name] - target))
         print(f"{name:10s} {err:14.3e}")
 
     print("\nresiduals:")

@@ -7,10 +7,10 @@ from boundary values of du/dx and dv/dy.
 from .balgebra import (BElement, E1, E2, NilpotentForm, RHO, ZeroDivisorError,
                        embed_point, from_nilpotent, invert, multiply, power,
                        to_nilpotent)
-from .elasticity import (ElasticState, FieldEvaluator, FieldGrid,
-                         LameConstants, PolarGrid, airy_boundary,
-                         boundary_map, displacements, lame_pairs,
-                         lame_residual, mixed_derivative, solve_pipeline)
+from .elasticity import (ElasticState, FieldEvaluator, LameConstants,
+                         PolarGrid, airy_boundary, boundary_map,
+                         displacements, lame_pairs, lame_residual,
+                         mixed_derivative, solve_pipeline)
 from .holomorphic import (BoundaryFunction, DomainError, TaylorSeries,
                           boundary_im_trace, boundary_re_trace,
                           harmonic_conjugate_trace, multiply_boundary,

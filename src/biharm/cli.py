@@ -26,7 +26,8 @@ from .elasticity import (FIELD_NAMES, FieldEvaluator, LameConstants,
                          lame_residual, solve_pipeline)
 from .holomorphic import BoundaryFunction
 from .monogenic import biharmonic_residual, cr_residual, random_b_polynomial
-from .schwarz import Problem14, boundary_residual, kernel_basis, solve_14
+from .schwarz import (DEFAULT_MODE_CAP, Problem14, boundary_residual,
+                      kernel_basis, solve_14)
 
 ENV_OUTPUT_DIR = "BIHARM_OUTPUT_DIR"
 
@@ -155,6 +156,9 @@ def _take_floats(raw: dict, key: str) -> tuple[float, ...]:
         raise ConfigError(key, f"not a comma-separated number list: {value!r}") from None
     if not all(math.isfinite(number) for number in numbers):
         raise ConfigError(key, f"every entry must be finite, got {value!r}")
+    if len(numbers) > DEFAULT_MODE_CAP:
+        raise ConfigError(key, f"{len(numbers)} coefficients exceed the mode "
+                               f"cap {DEFAULT_MODE_CAP}")
     return numbers
 
 
@@ -175,10 +179,15 @@ def build_config(raw: dict[str, str]) -> RunConfig:
     r_max = _take_float(raw, "grid.r_max", 1.0 - 1e-6)
     bx = _take_float(raw, "basepoint.x", 0.0)
     by = _take_float(raw, "basepoint.y", 0.0)
-    output_dir = Path(raw.pop("output_dir", "biharm_out"))
-    thresholds = dict(DEFAULT_THRESHOLDS)
-    for name in list(DEFAULT_THRESHOLDS):
-        thresholds[name] = _take_float(raw, f"threshold.{name}", thresholds[name])
+    output_dir = raw.pop("output_dir", "biharm_out")
+    if not output_dir:
+        raise ConfigError("output_dir", "must not be empty")
+    thresholds = {}
+    for name, default in DEFAULT_THRESHOLDS.items():
+        key = f"threshold.{name}"
+        thresholds[name] = _take_float(raw, key, default)
+        if thresholds[name] < 0:
+            raise ConfigError(key, f"must be >= 0, got {thresholds[name]!r}")
     if raw:
         raise ConfigError(sorted(raw)[0], "unknown key")
 
@@ -193,13 +202,13 @@ def build_config(raw: dict[str, str]) -> RunConfig:
     if np.hypot(bx, by) >= 1.0:
         raise ConfigError("basepoint.x", "basepoint must lie strictly inside the disk")
     return RunConfig(lam, mu, g1, g2, n_r, n_theta, r_max, (bx, by),
-                     output_dir, thresholds)
+                     Path(output_dir), thresholds)
 
 
 def load_config(path: Path) -> RunConfig:
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_bytes().decode("utf-8-sig")  # a leading BOM is allowed
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(path), f"cannot read: {exc}") from None
     return build_config(parse_flat_config(text))
 
@@ -249,13 +258,12 @@ def cmd_solve(config_path: str, out=sys.stdout) -> int:
 
     report = RunReport(residuals=state.residuals, kernel_note=state.kernel_note,
                        timings=state.timings, thresholds=config.thresholds)
-    grids = state.field_grids()
     prefixes = csv_row_prefixes(state.grid)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name in FIELD_NAMES:
             write_field_csv(out_dir / f"{name}.csv", state.grid,
-                            grids[name].values, prefixes)
+                            state.fields[name], prefixes)
         (out_dir / "report.txt").write_text(report.render())
     except OSError as exc:
         print(f"error: {out_source} {str(out_dir)!r}: cannot write outputs: "

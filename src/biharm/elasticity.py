@@ -26,7 +26,8 @@ equations.
 Gauges: W_xy is fixed to vanish at the basepoint (this pins the uniform
 shear left free by the boundary data), displacements vanish at the
 basepoint, and the solver normalization Im F(0) = 0 pins the rigid
-rotation.  V1 and V2 are gauge-free and unique.
+rotation (V4 - V3)/2 = k0*Im F/mu at the origin, not at the basepoint.
+V1 and V2 are gauge-free and unique.
 
 FieldEvaluator is the one implementation of these formulas: a call at a
 point set evaluates F, F', F'', G, G', int F and int G once each and
@@ -36,7 +37,12 @@ of the exact differential dW_xy.  Gauss-Legendre path quadrature
 displacements independently of the closed forms; the tests use it as the
 cross-check.  The pipeline keeps only the closed-loop integrals, which
 check that (V1, V3), (V4, V2) and (W1_y, W2_x) are exact differentials;
-u and v do not enter them.
+u and v do not enter them.  Their one rule: the mean over 2N + 4
+equispaced nodes per circle (loop_nodes, loop_integral), N the series
+degree, which is exact on these trigonometric integrands.
+
+solve_pipeline returns the thirteen grid fields as the evaluator's arrays,
+a dict keyed by FIELD_NAMES (ElasticState.fields).
 """
 
 from __future__ import annotations
@@ -109,23 +115,6 @@ class PolarGrid:
         return r, th, r * np.cos(th), r * np.sin(th)
 
 
-@dataclass(frozen=True)
-class FieldGrid:
-    """One scalar field sampled on a polar grid."""
-
-    grid: PolarGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n_r, self.grid.n_theta):
-            raise ValueError("values shape does not match the grid")
-        object.__setattr__(self, "values", v)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-
 # ---------------------------------------------------------------------------
 # quadrature along radial-then-angular paths
 
@@ -196,15 +185,26 @@ def path_integral(p_dx, p_dy, basepoint, x, y, degree_hint: int = 16,
     return out.reshape(shape) if shape else float(out[0])
 
 
-def loop_integral(p_dx, p_dy, radius: float, degree_hint: int = 16) -> float:
-    """Closed-loop integral around the circle of the given radius."""
-    _, n_arc = _panel_counts(degree_hint)
-    t_a, w_a = _composite_gl(4 * n_arc)
-    ang = 2.0 * np.pi * t_a
-    xa = radius * np.cos(ang)
-    ya = radius * np.sin(ang)
-    vals = -p_dx(xa, ya) * ya + p_dy(xa, ya) * xa
-    return float((vals @ w_a) * 2.0 * np.pi)
+def loop_nodes(radii, degree: int):
+    """2*degree + 4 equispaced nodes on each circle of the given radii,
+    along the last axis, for the fields of a series pair of that degree.
+
+    A loop integrand of those fields is a trigonometric polynomial of
+    degree <= degree + 1; the mean over m equispaced nodes is exact below
+    degree m, which leaves a margin of degree + 2.
+    """
+    m = 2 * degree + 4
+    t = 2.0 * np.pi * np.arange(m) / m
+    r = np.asarray(radii, dtype=float)[..., None]
+    return r * np.cos(t), r * np.sin(t)
+
+
+def loop_integral(p, q, x, y):
+    """Closed-loop integral of p dx + q dy around each circle whose
+    loop_nodes run along the last axis of x and y; p and q are the
+    integrands' values there.  With dx = -y dt and dy = x dt it is 2*pi
+    times the mean of q*x - p*y."""
+    return 2.0 * np.pi * np.mean(q * x - p * y, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -396,31 +396,17 @@ def lame_residual(u, v, gamma: float, points, h: float = 1e-3) -> float:
 
 @dataclass(frozen=True)
 class ElasticState:
-    """All reconstructed fields on a grid plus the verification residuals."""
+    """The solution, its 13 fields on the grid (arrays keyed by
+    FIELD_NAMES) and the verification residuals."""
 
     grid: PolarGrid
     basepoint: tuple[float, float]
     lame: LameConstants
     phi: MonogenicFunction
-    u1: FieldGrid
-    u2: FieldGrid
-    u3: FieldGrid
-    u4: FieldGrid
-    v1: FieldGrid
-    v2: FieldGrid
-    v3: FieldGrid
-    v4: FieldGrid
-    sigma_x: FieldGrid
-    sigma_y: FieldGrid
-    tau_xy: FieldGrid
-    u: FieldGrid
-    v: FieldGrid
+    fields: dict[str, np.ndarray]
     residuals: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     kernel_note: str = ""
-
-    def field_grids(self) -> dict[str, FieldGrid]:
-        return {name: getattr(self, name) for name in FIELD_NAMES}
 
 
 def _residual_points(grid: PolarGrid, r_cap: float, max_points: int = 240):
@@ -460,7 +446,6 @@ def solve_pipeline(g1: BoundaryFunction, g2: BoundaryFunction,
     fields = FieldEvaluator(phi, lame, bp)
     _, _, x, y = grid.mesh
     values = fields(x, y)
-    grids = {name: FieldGrid(grid, values[name]) for name in FIELD_NAMES}
     timings["fields"] = time.perf_counter() - t0
     timings["displacements"] = 0.0
 
@@ -470,7 +455,7 @@ def solve_pipeline(g1: BoundaryFunction, g2: BoundaryFunction,
 
     # interior closure checks: Hooke's law for the shear, and the stresses
     # against the potential's W_yy = U1 - 2*U4 and W_xx = U1
-    stress_scale = max(1.0, *(grids[name].max_abs()
+    stress_scale = max(1.0, *(float(np.max(np.abs(values[name])))
                               for name in ("sigma_x", "sigma_y", "tau_xy")))
     hooke_shear = np.max(np.abs(values["tau_xy"]
                                 - lame.mu * (values["v3"] + values["v4"])))
@@ -498,12 +483,13 @@ def solve_pipeline(g1: BoundaryFunction, g2: BoundaryFunction,
     # the loop integrals check that the written gradient fields are exact
     # differentials (strain compatibility); u and v come from the
     # antiderivative pair, not from these fields, so this does not test
-    # grad u = (V1, V3) or grad v = (V4, V2): the test suite pins that
-    hint = max(phi.degree + 1, 4)
-    loops = [abs(loop_integral(fields.field(p_dx), fields.field(p_dy), radius, hint))
-             for radius in (0.35, 0.7)
-             for p_dx, p_dy in (("w1_y", "w2_x"), ("v1", "v3"), ("v4", "v2"))]
-    residuals["loop"] = float(max(loops))
+    # grad u = (V1, V3) or grad v = (V4, V2): the test suite pins that.
+    # One evaluation on both circles serves all three pairs.
+    lx, ly = loop_nodes((0.35, 0.7), phi.degree)
+    at = fields(lx, ly)
+    residuals["loop"] = float(max(
+        np.max(np.abs(loop_integral(at[p], at[q], lx, ly)))
+        for p, q in (("w1_y", "w2_x"), ("v1", "v3"), ("v4", "v2"))))
     timings["residuals"] = time.perf_counter() - t0
 
     note = ("component solution unique up to the two constants with "
@@ -511,5 +497,6 @@ def solve_pipeline(g1: BoundaryFunction, g2: BoundaryFunction,
             "Im G(0) = 0 was applied and does not affect V1, V2, stresses, "
             "or displacements up to the fixed gauges")
 
-    return ElasticState(grid=grid, basepoint=bp, lame=lame, phi=phi, **grids,
+    return ElasticState(grid=grid, basepoint=bp, lame=lame, phi=phi,
+                        fields={name: values[name] for name in FIELD_NAMES},
                         residuals=residuals, timings=timings, kernel_note=note)

@@ -5,10 +5,3 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-def disk_points(rng, count, radius=0.6):
-    """Uniform points inside the disk of the given radius."""
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, count))
-    th = rng.uniform(0.0, 2.0 * np.pi, count)
-    return np.column_stack([r * np.cos(th), r * np.sin(th)])

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from biharm.cli import (ConfigError, DEFAULT_THRESHOLDS, ENV_OUTPUT_DIR,
                         RunReport, build_config, cmd_solve, cmd_verify,
                         load_config, main, parse_flat_config, read_field_csv)
+from biharm.schwarz import DEFAULT_MODE_CAP
 
 GOOD_CONFIG = """\
 # worked closed-form case
@@ -72,6 +73,10 @@ def test_build_config_defaults():
     ({"basepoint.y": "nan"}, "basepoint.y"),
     ({"threshold.lame": "nan"}, "threshold.lame"),
     ({"threshold.loop": "inf"}, "threshold.loop"),
+    ({"threshold.hooke": "-1"}, "threshold.hooke"),
+    ({"output_dir": ""}, "output_dir"),
+    ({"g1.cos": ", ".join(["0.5"] * (DEFAULT_MODE_CAP + 1))}, "g1.cos"),
+    ({"g2.sin": ", ".join(["0"] * (DEFAULT_MODE_CAP + 1))}, "g2.sin"),
 ])
 def test_build_config_validation_names_field(overrides, fieldname):
     raw = {"lambda": "1.0", "mu": "1.0"}
@@ -96,6 +101,22 @@ def test_cmd_solve_invalid_config_exit_2(tmp_path, capsys):
 
 def test_cmd_solve_missing_file_exit_2(tmp_path):
     assert cmd_solve(str(tmp_path / "absent.cfg")) == 2
+
+
+def test_cmd_solve_utf8_byte_order_mark_runs(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + ZERO_CONFIG.format(out=tmp_path / "out").encode())
+    assert cmd_solve(str(path), out=io.StringIO()) == 0
+    assert (tmp_path / "out" / "report.txt").exists()
+
+
+def test_cmd_solve_undecodable_config_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"# \xff\xfe\n" + ZERO_CONFIG.format(out=tmp_path / "out").encode())
+    assert cmd_solve(str(path), out=io.StringIO()) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "Traceback" not in err
 
 
 def test_cmd_solve_zero_config(tmp_path):
@@ -138,7 +159,7 @@ def test_csv_round_trip_and_determinism(tmp_path):
     state = solve_pipeline(cfg.g1, cfg.g2, cfg.lame(), cfg.grid(), cfg.basepoint)
     data = read_field_csv(tmp_path / "out" / "sigma_x.csv")
     assert np.array_equal(data[:, 4],
-                          state.sigma_x.values.ravel())
+                          state.fields["sigma_x"].ravel())
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

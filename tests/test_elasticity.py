@@ -4,13 +4,13 @@ import pytest
 from biharm.elasticity import (FIELD_NAMES, FieldEvaluator, LameConstants,
                                PolarGrid, _residual_points, airy_boundary,
                                boundary_map, displacements, lame_pairs,
-                               lame_residual, loop_integral, mixed_derivative,
-                               solve_pipeline)
+                               lame_residual, loop_integral, loop_nodes,
+                               mixed_derivative, solve_pipeline)
 from biharm.holomorphic import (BoundaryFunction, DomainError, TaylorSeries,
                                 harmonic_conjugate_trace)
 from biharm.monogenic import MonogenicFunction, random_b_polynomial
 from biharm.schwarz import kernel_basis
-from conftest import disk_points
+from disk_sampling import disk_points
 
 L11 = LameConstants(1.0, 1.0)
 ZETA = MonogenicFunction(TaylorSeries((0, 1)), TaylorSeries((0j,)))
@@ -152,9 +152,9 @@ def test_mixed_derivative_zero(rng):
 
 def test_mixed_derivative_closed_loop(rng):
     phi = random_b_polynomial(rng, 8)
-    fields = FieldEvaluator(phi)
-    assert abs(loop_integral(fields.field("w1_y"), fields.field("w2_x"), 0.5,
-                             degree_hint=phi.degree + 1)) < 1e-10
+    x, y = loop_nodes(0.5, phi.degree)
+    at = FieldEvaluator(phi)(x, y)
+    assert abs(loop_integral(at["w1_y"], at["w2_x"], x, y)) < 1e-10
 
 
 def test_mixed_derivative_matches_antiderivative(rng):
@@ -301,11 +301,38 @@ def test_displacement_closed_loops(rng):
     phi = random_b_polynomial(rng, 7)
     lame = LameConstants(1.0, 3.0)
     fields = FieldEvaluator(phi, lame, (0.0, 0.0))
-    v1, v2, v3, v4 = (fields.field(name) for name in ("v1", "v2", "v3", "v4"))
-    hint = phi.degree + 1
     for radius in (0.3, 0.8):
-        assert abs(loop_integral(v1, v3, radius, hint)) < 1e-10
-        assert abs(loop_integral(v4, v2, radius, hint)) < 1e-10
+        x, y = loop_nodes(radius, phi.degree)
+        at = fields(x, y)
+        assert abs(loop_integral(at["v1"], at["v3"], x, y)) < 1e-10
+        assert abs(loop_integral(at["v4"], at["v2"], x, y)) < 1e-10
+
+
+@pytest.mark.parametrize("degree", [0, 1, 8, 48])
+def test_loop_integral_of_a_non_exact_differential(degree):
+    # -y dx + x dy encloses twice the disk's area: 2*pi*r^2, not 0
+    radii = np.array([0.1, 0.35, 0.7, 1.0])
+    x, y = loop_nodes(radii, degree)
+    assert np.allclose(loop_integral(-y, x, x, y), 2 * np.pi * radii ** 2,
+                       rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("degree", [0, 3, 48])
+def test_loop_nodes_integrate_the_largest_allowed_degree_exactly(rng, degree):
+    # p dx + q dy with p = -y*f/r^2, q = x*f/r^2 reads f(theta) dt on the
+    # circle; the 2N + 4 nodes integrate a trigonometric f of degree up to
+    # 2N + 3 exactly, so only f's mean a0 survives
+    radius = 0.6
+    x, y = loop_nodes(radius, degree)
+    top = 2 * degree + 3
+    a0 = rng.standard_normal()
+    a, b = rng.standard_normal((2, top))
+    th = np.arctan2(y, x)
+    k = np.arange(1, top + 1)[:, None]
+    f = a0 + a @ np.cos(k * th) + b @ np.sin(k * th)
+    scale = f / radius ** 2
+    got = loop_integral(-y * scale, x * scale, x, y)
+    assert abs(got - 2 * np.pi * a0) < 1e-12 * (1 + np.sum(np.abs(a) + np.abs(b)))
 
 
 def test_lame_pairs_examples(rng):
@@ -347,8 +374,8 @@ def test_lame_pairs_satisfy_system(rng):
 def test_pipeline_zero_data():
     state = solve_pipeline(BoundaryFunction.zero(), BoundaryFunction.zero(),
                            L11, PolarGrid(16, 32))
-    for name, fg in state.field_grids().items():
-        assert fg.max_abs() < 1e-12, name
+    for name, values in state.fields.items():
+        assert np.max(np.abs(values)) < 1e-12, name
     assert all(v < 1e-12 for v in state.residuals.values())
 
 
@@ -357,13 +384,13 @@ def test_pipeline_manufactured_identity_case():
     g = BoundaryFunction(0, (0.25,), ())
     state = solve_pipeline(g, g, L11, grid)
     _, _, x, y = grid.mesh
-    assert np.max(np.abs(state.v1.values - x / 4)) < 1e-10
-    assert np.max(np.abs(state.v2.values - x / 4)) < 1e-10
-    assert np.max(np.abs(state.sigma_x.values - x)) < 1e-8
-    assert np.max(np.abs(state.sigma_y.values - x)) < 1e-8
-    assert np.max(np.abs(state.tau_xy.values + y)) < 1e-8
-    assert np.max(np.abs(state.u.values - (x ** 2 / 8 - 5 * y ** 2 / 8))) < 1e-8
-    assert np.max(np.abs(state.v.values - x * y / 4)) < 1e-8
+    assert np.max(np.abs(state.fields["v1"] - x / 4)) < 1e-10
+    assert np.max(np.abs(state.fields["v2"] - x / 4)) < 1e-10
+    assert np.max(np.abs(state.fields["sigma_x"] - x)) < 1e-8
+    assert np.max(np.abs(state.fields["sigma_y"] - x)) < 1e-8
+    assert np.max(np.abs(state.fields["tau_xy"] + y)) < 1e-8
+    assert np.max(np.abs(state.fields["u"] - (x ** 2 / 8 - 5 * y ** 2 / 8))) < 1e-8
+    assert np.max(np.abs(state.fields["v"] - x * y / 4)) < 1e-8
 
 
 def test_pipeline_discriminates_v2_variant():
@@ -375,14 +402,14 @@ def test_pipeline_discriminates_v2_variant():
     g2 = BoundaryFunction.zero()
     state = solve_pipeline(g1, g2, L11, grid)
     _, _, x, y = grid.mesh
-    assert np.max(np.abs(state.v1.values - 2 * x)) < 1e-8
-    assert np.max(np.abs(state.v2.values)) < 1e-8
+    assert np.max(np.abs(state.fields["v1"] - 2 * x)) < 1e-8
+    assert np.max(np.abs(state.fields["v2"])) < 1e-8
 
     # the rejected variant, with coefficient (lam+2mu)/(lam+mu) on the fourth
     # component, would predict v_y = -x here: distinguishable at O(1)
     la, mu = L11.lam, L11.mu
-    u1 = state.u1.values
-    u4 = state.u4.values
+    u1 = state.fields["u1"]
+    u4 = state.fields["u4"]
     v2_variant = (mu * u1 + (la + 2 * mu) * u4) / (2 * mu * (la + mu))
     assert np.max(np.abs(v2_variant)) > 0.5
 
@@ -413,7 +440,7 @@ def test_pipeline_runs_without_path_quadrature(monkeypatch):
     g2 = BoundaryFunction(-0.1, (0.2,), (0.4, 0.25))
     state = solve_pipeline(g1, g2, LameConstants(2.0, 1.5), PolarGrid(16, 32),
                            (0.3, -0.2))
-    assert all(np.isfinite(fg.values).all() for fg in state.field_grids().values())
+    assert all(np.isfinite(values).all() for values in state.fields.values())
 
 
 def test_pipeline_residual_report_keys():
@@ -427,10 +454,9 @@ def test_pipeline_residual_report_keys():
                                   "residuals"}
 
 
-def test_pipeline_evaluates_each_series_once_on_the_grid(monkeypatch, rng):
-    # degree 48 on a 48 x 128 grid: the grid is one point set, so each of
-    # F, F', F'', G, G', int F and int G is evaluated on it exactly once
-    grid = PolarGrid(48, 128)
+def pipeline_evaluation_shapes(monkeypatch, rng, grid):
+    """Shapes of the point sets that one degree-48 solve_pipeline run on
+    `grid` passes to TaylorSeries.evaluate_unchecked."""
     shapes = []
     evaluate = TaylorSeries.evaluate_unchecked
 
@@ -445,8 +471,25 @@ def test_pipeline_evaluates_each_series_once_on_the_grid(monkeypatch, rng):
               for _ in range(2))
     state = solve_pipeline(g1, g2, LameConstants(2.0, 1.5), grid, (0.3, -0.2))
     assert state.phi.degree >= 48
+    return shapes
+
+
+def test_pipeline_evaluates_each_series_once_on_the_grid(monkeypatch, rng):
+    # degree 48 on a 48 x 128 grid: the grid is one point set, so each of
+    # F, F', F'', G, G', int F and int G is evaluated on it exactly once
+    grid = PolarGrid(48, 128)
+    shapes = pipeline_evaluation_shapes(monkeypatch, rng, grid)
     grid_calls = shapes.count((grid.n_r, grid.n_theta))
     assert 0 < grid_calls <= 7
+
+
+def test_pipeline_evaluation_budget(monkeypatch, rng):
+    # one evaluator call (seven series) per point set: the grid, the
+    # equilibrium stencil, both loop circles together, and u and v on the
+    # lame stencil (14); the basepoint gauges take 5 and the boundary
+    # residual 3
+    shapes = pipeline_evaluation_shapes(monkeypatch, rng, PolarGrid(48, 128))
+    assert len(shapes) <= 43
 
 
 @pytest.mark.parametrize("grid", [PolarGrid(2, 4), PolarGrid(64, 256, 0.04)])

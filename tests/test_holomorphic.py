@@ -5,7 +5,7 @@ from biharm.holomorphic import (BoundaryFunction, DomainError, TaylorSeries,
                                 boundary_im_trace, boundary_re_trace,
                                 harmonic_conjugate_trace, multiply_boundary,
                                 schwarz_solve)
-from conftest import disk_points
+from disk_sampling import disk_points
 
 
 def coeffs_close(got, expected, tol=1e-14):

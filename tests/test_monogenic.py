@@ -7,7 +7,7 @@ from biharm.holomorphic import DomainError, TaylorSeries
 from biharm.monogenic import (MonogenicFunction, biharmonic_residual,
                               biharmonic_stencil, cr_residual,
                               from_b_polynomial, random_b_polynomial)
-from conftest import disk_points
+from disk_sampling import disk_points
 
 ZETA = MonogenicFunction(TaylorSeries((0, 1)), TaylorSeries((0j,)))
 

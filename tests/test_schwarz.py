@@ -5,7 +5,7 @@ from biharm.holomorphic import BoundaryFunction, TaylorSeries
 from biharm.monogenic import MonogenicFunction, random_b_polynomial
 from biharm.schwarz import (DegreeOverflowError, Problem14, boundary_residual,
                             kernel_basis, solve_14)
-from conftest import disk_points
+from disk_sampling import disk_points
 
 
 def trace_problem(phi, degree):
